@@ -22,27 +22,12 @@ from .attack import (
     expected_checks,
     gaussian_pair_attack,
     invert_box_muller,
-    level_curve_u1,
     mironov_attack,
 )
-from .dist import (
-    ChiSquared,
-    DistributionSpec,
-    Exponential,
-    Gamma,
-    Gaussian,
-    Laplace,
-    Uniform,
-    gaussian_cdf,
-    laplace_cdf,
-    laplace_inverse_cdf,
-    pdf,
-    standardize,
-)
+from .dist import gaussian_cdf, laplace_cdf, laplace_inverse_cdf
 from .sampler import (
     GaussianStream,
     SamplerMethod,
-    box_muller,
     get_method,
     laplace_expdiff,
     laplace_logcos,
@@ -68,7 +53,6 @@ from .urand import (
     UniformVariate,
     neighbors,
     next_uniform,
-    round_to_multiple,
     round_to_variate,
 )
 
@@ -78,21 +62,13 @@ __all__ = [
     "AttackOutcome",
     "BitSource",
     "BruteForceResult",
-    "ChiSquared",
-    "DistributionSpec",
     "EntropyError",
-    "Exponential",
-    "Gamma",
-    "Gaussian",
     "GaussianStream",
-    "Laplace",
     "MomentSummary",
     "PhaseAlignmentError",
     "QueryOracle",
     "SamplerMethod",
-    "Uniform",
     "UniformVariate",
-    "box_muller",
     "brute_force_single_gaussian",
     "count_feasible_checks",
     "distinct_output_count",
@@ -110,7 +86,6 @@ __all__ = [
     "laplace_logcos",
     "laplace_proddiff",
     "laplace_sqsum",
-    "level_curve_u1",
     "method_names",
     "mironov_attack",
     "moments",
@@ -118,10 +93,7 @@ __all__ = [
     "naive_laplace_from_variate",
     "neighbors",
     "next_uniform",
-    "pdf",
-    "round_to_multiple",
     "round_to_variate",
     "secure_gaussian",
-    "standardize",
     "symmetric_cos",
 ]

@@ -22,19 +22,19 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .dist import laplace_cdf
-from .sampler import GaussianStream, bm_cos, bm_radius, bm_sin, naive_laplace_from_variate
-from .urand import (
-    DEFAULT_PRECISION,
-    UniformVariate,
-    check_precision,
-    neighbors,
-    round_to_variate,
+from .sampler import (
+    TWO_PI,
+    GaussianStream,
+    bm_cos,
+    bm_radius,
+    bm_sin,
+    naive_laplace_from_numerator,
 )
+from .urand import DEFAULT_PRECISION, UniformVariate, check_precision, grid_round, grid_window
 
 DEFAULT_WINDOW = 2
 DEFAULT_PAIR_WINDOW = 4
 BRUTE_FORCE_MAX_PRECISION = 20
-TWO_PI = 2.0 * math.pi
 
 __all__ = [
     "DEFAULT_WINDOW",
@@ -46,7 +46,6 @@ __all__ = [
     "mironov_attack",
     "invert_box_muller",
     "gaussian_pair_attack",
-    "level_curve_u1",
     "count_feasible_checks",
     "expected_checks",
     "BruteForceResult",
@@ -100,20 +99,61 @@ class AttackOutcome:
     trace: list[tuple] = field(default_factory=list)
 
 
-def _prepare_candidates(candidates) -> list[float]:
-    cands = sorted(set(float(c) for c in candidates))
+def _campaign_candidates(
+    candidates, p: int, w: int, max_queries: int, scale: float
+) -> list[float]:
+    # The one boundary check of both attacks: everything is rejected here,
+    # before the first query, so the survival checks run unvalidated.
+    check_precision(p)
+    if w < 0:
+        raise ValueError(f"window must be non-negative, got {w}")
+    if not (scale > 0 and math.isfinite(scale)):
+        raise ValueError(f"scale must be positive and finite, got {scale!r}")
+    if max_queries < 0:
+        raise ValueError(f"query budget must be non-negative, got {max_queries}")
+    cands = [float(c) for c in candidates]
     if not cands:
         raise ValueError("candidate set must be non-empty")
-    return cands
+    for c in cands:
+        if not math.isfinite(c):
+            raise ValueError(f"candidates must be finite, got {c!r}")
+    return sorted(set(cands))
+
+
+def _eliminate(
+    oracle: QueryOracle,
+    candidates: list[float],
+    arity: int,
+    survives: Callable[[object, float], bool],
+    max_queries: int,
+) -> AttackOutcome:
+    # Query ``arity`` outputs per round (a scalar for arity 1, else a tuple)
+    # and keep the candidates ``survives(q, c)`` accepts, until one round
+    # would overrun the budget or nothing is left.
+    if len(candidates) == 1:
+        return AttackOutcome("identified", candidates[0], 0, [])
+    trace: list[tuple] = []
+    while candidates and oracle.call_count + arity <= max_queries:
+        q = oracle.query() if arity == 1 else tuple(oracle.query() for _ in range(arity))
+        survivors: list[float] = []
+        eliminated: list[float] = []
+        for c in candidates:
+            (survivors if survives(q, c) else eliminated).append(c)
+        trace.append((q, eliminated))
+        candidates = survivors
+    if len(candidates) == 1:
+        return AttackOutcome("identified", candidates[0], oracle.call_count, trace)
+    if not candidates:
+        return AttackOutcome("all_eliminated", None, oracle.call_count, trace)
+    return AttackOutcome("budget_exhausted", None, oracle.call_count, trace)
 
 
 def _laplace_survives(q: float, c: float, p: int, w: int, scale: float) -> bool:
     # Round the implied uniform onto the grid, then ask whether any grid
     # point within w steps pushes forward to the query bit-exactly.
-    y = (q - c) / scale
-    u = round_to_variate(laplace_cdf(y), p)
-    for cand in neighbors(u, w):
-        if scale * naive_laplace_from_variate(cand) + c == q:
+    m = grid_round(laplace_cdf((q - c) / scale), p)
+    for k in grid_window(m, p, w):
+        if scale * naive_laplace_from_numerator(k, p) + c == q:
             return True
     return False
 
@@ -145,32 +185,19 @@ def mironov_attack(
 
     Args:
         oracle: source of ``target + scale * noise`` observations.
-        candidates: finite iterable of hypothesised target values.
+        candidates: finite iterable of finite hypothesised target values.
         p: grid precision the attacked sampler is assumed to draw at.
         w: neighbourhood half-width absorbing rounding slack.
-        max_queries: cap on oracle calls.
+        max_queries: non-negative cap on oracle calls.
         scale: Laplace scale ``b`` of the oracle's noise.
+
+    Raises:
+        ValueError: for any invalid argument, before the first query.
     """
-    check_precision(p)
-    if w < 0:
-        raise ValueError(f"window must be non-negative, got {w}")
-    if not (scale > 0 and math.isfinite(scale)):
-        raise ValueError(f"scale must be positive and finite, got {scale!r}")
-    cands = _prepare_candidates(candidates)
-    if len(cands) == 1:
-        return AttackOutcome("identified", cands[0], 0, [])
-    trace: list[tuple] = []
-    while cands and oracle.call_count < max_queries:
-        q = oracle.query()
-        survivors = [c for c in cands if _laplace_survives(q, c, p, w, scale)]
-        eliminated = [c for c in cands if c not in survivors]
-        trace.append((q, eliminated))
-        cands = survivors
-    if len(cands) == 1:
-        return AttackOutcome("identified", cands[0], oracle.call_count, trace)
-    if not cands:
-        return AttackOutcome("all_eliminated", None, oracle.call_count, trace)
-    return AttackOutcome("budget_exhausted", None, oracle.call_count, trace)
+    cands = _campaign_candidates(candidates, p, w, max_queries, scale)
+    return _eliminate(
+        oracle, cands, 1, lambda q, c: _laplace_survives(q, c, p, w, scale), max_queries
+    )
 
 
 def invert_box_muller(n1: float, n2: float) -> tuple[float, float]:
@@ -202,12 +229,10 @@ def _pair_survives(
         # Only the zero-radius grid point reproduces an exact (0, 0) pair.
         return c + scale * bm_cos(0.0, 0.0) == q1 and c + scale * bm_sin(0.0, 0.0) == q2
     u1, u2 = invert_box_muller(n1, n2)
-    v1 = round_to_variate(u1, p)
-    v2 = round_to_variate(u2, p)
-    for a in neighbors(v1, w):
-        av = a.value
-        for b in neighbors(v2, w):
-            bv = b.value
+    angles = [math.ldexp(m2, -p) for m2 in grid_window(grid_round(u2, p), p, w)]
+    for m1 in grid_window(grid_round(u1, p), p, w):
+        av = math.ldexp(m1, -p)
+        for bv in angles:
             if c + scale * bm_cos(av, bv) == q1 and c + scale * bm_sin(av, bv) == q2:
                 return True
     return False
@@ -234,49 +259,17 @@ def gaussian_pair_attack(
     a phase misalignment and is rejected up front.
 
     Raises:
+        ValueError: for any invalid argument, before the first query.
         PhaseAlignmentError: if the oracle's stream starts mid-pair.
     """
-    check_precision(p)
-    if w < 0:
-        raise ValueError(f"window must be non-negative, got {w}")
-    if not (scale > 0 and math.isfinite(scale)):
-        raise ValueError(f"scale must be positive and finite, got {scale!r}")
+    cands = _campaign_candidates(candidates, p, w, max_queries, scale)
     if oracle.stream is not None and oracle.stream.phase != "empty":
         raise PhaseAlignmentError(
             "oracle stream holds a cached output; pair alignment would be off by one"
         )
-    cands = _prepare_candidates(candidates)
-    if len(cands) == 1:
-        return AttackOutcome("identified", cands[0], 0, [])
-    trace: list[tuple] = []
-    while cands and oracle.call_count + 2 <= max_queries:
-        q1 = oracle.query()
-        q2 = oracle.query()
-        survivors = [c for c in cands if _pair_survives(q1, q2, c, p, w, scale)]
-        eliminated = [c for c in cands if c not in survivors]
-        trace.append(((q1, q2), eliminated))
-        cands = survivors
-    if len(cands) == 1:
-        return AttackOutcome("identified", cands[0], oracle.call_count, trace)
-    if not cands:
-        return AttackOutcome("all_eliminated", None, oracle.call_count, trace)
-    return AttackOutcome("budget_exhausted", None, oracle.call_count, trace)
-
-
-def level_curve_u1(n1: float, u2: float) -> float:
-    """First uniform consistent with cosine-branch output ``n1`` at angle ``u2``.
-
-    Solves the cosine branch for ``u1``: ``1 - exp(-n1² / (2 cos²(2 pi u2)))``.
-    Always lies in [0, 1) mathematically; in floats the value saturates to
-    1.0 once the exponential underflows (|n1 / cos| beyond roughly 38).
-
-    Raises:
-        ValueError: if the cosine factor is exactly zero.
-    """
-    c = math.cos(TWO_PI * u2)
-    if c == 0.0:
-        raise ValueError(f"level curve undefined where cos(2 pi u2) == 0 (u2={u2!r})")
-    return 1.0 - math.exp(-(n1 * n1) / (2.0 * c * c))
+    return _eliminate(
+        oracle, cands, 2, lambda q, c: _pair_survives(q[0], q[1], c, p, w, scale), max_queries
+    )
 
 
 def count_feasible_checks(n1: float, p: int) -> int:

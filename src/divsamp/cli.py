@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import attack as attack_mod
@@ -45,16 +46,16 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", default=None, help="write the report here instead of stdout")
+        sp.add_argument(
+            "--epsilon",
+            type=float,
+            default=None,
+            help="privacy budget; Laplace noise is scaled by b = 1/epsilon",
+        )
 
     sp = sub.add_parser("sample", help="draw noise samples")
     add_common(sp, "naive-laplace")
     sp.add_argument("--count", type=int, default=10, help="number of draws")
-    sp.add_argument(
-        "--epsilon",
-        type=float,
-        default=None,
-        help="privacy budget; Laplace noise is scaled by b = 1/epsilon",
-    )
 
     sp = sub.add_parser("attack", help="run a candidate-elimination attack")
     add_common(sp, "naive-laplace")
@@ -77,12 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--window", type=int, default=None, help="grid neighbourhood half-width")
     sp.add_argument("--max-queries", type=int, default=100)
-    sp.add_argument(
-        "--epsilon",
-        type=float,
-        default=None,
-        help="privacy budget; Laplace noise is scaled by b = 1/epsilon",
-    )
 
     sp = sub.add_parser("verify", help="test a sampler's distribution")
     add_common(sp, "naive-laplace")
@@ -92,12 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("laplace", "gaussian"),
         default=None,
         help="reference family (default: the method's own family)",
-    )
-    sp.add_argument(
-        "--epsilon",
-        type=float,
-        default=None,
-        help="privacy budget; Laplace noise is scaled by b = 1/epsilon",
     )
 
     sp = sub.add_parser("complexity", help="search-cost model for single-output inversion")
@@ -129,8 +118,9 @@ def _resolve_method(parser, args):
 def _noise_scale(parser, args, method) -> float:
     if args.epsilon is None:
         return 1.0
-    if args.epsilon <= 0:
-        _fail(parser, f"epsilon must be positive, got {args.epsilon}")
+    if not (0 < args.epsilon < math.inf and 1.0 / args.epsilon < math.inf):
+        _fail(parser, "epsilon must be positive and finite, with 1/epsilon finite; "
+                      f"got {args.epsilon}")
     if method.family != "laplace":
         _fail(parser, "epsilon scaling applies to Laplace-family methods only")
     return 1.0 / args.epsilon
@@ -190,6 +180,8 @@ def _parse_candidates(parser, text: str) -> list[float]:
         _fail(parser, f"could not parse candidate list {text!r}")
     if not cands:
         _fail(parser, "candidate list is empty")
+    if not all(math.isfinite(c) for c in cands):
+        _fail(parser, f"candidates must be finite, got {text!r}")
     return cands
 
 
@@ -198,6 +190,10 @@ def _run_attack(parser, args) -> int:
     scale = _noise_scale(parser, args, method)
     candidates = _parse_candidates(parser, args.candidates)
     target = candidates[0] if args.target is None else args.target
+    if not math.isfinite(target):
+        _fail(parser, f"target must be finite, got {target}")
+    if args.max_queries < 0:
+        _fail(parser, f"query budget must be non-negative, got {args.max_queries}")
     src = BitSource(args.seed)
 
     if args.attack_kind == "mironov":

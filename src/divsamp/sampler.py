@@ -29,12 +29,12 @@ TWO_PI = 2.0 * math.pi
 __all__ = [
     "DEFAULT_DIVISIBILITY",
     "naive_laplace",
+    "naive_laplace_from_numerator",
     "naive_laplace_from_variate",
     "bm_radius",
     "bm_cos",
     "bm_sin",
     "GaussianStream",
-    "box_muller",
     "secure_gaussian",
     "laplace_expdiff",
     "laplace_sqsum",
@@ -51,17 +51,27 @@ def _uniform_value(src: BitSource, p: int) -> float:
     return next_uniform(src, p).value
 
 
-def naive_laplace_from_variate(u: UniformVariate) -> float:
+def _check_divisibility(n: int) -> None:
+    # bool is an int subclass; True must not pass as divisibility 1
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"divisibility must be a positive integer, got {n!r}")
+
+
+def naive_laplace_from_numerator(m: int, p: int) -> float:
     """The deterministic uniform-to-Laplace transform of the naive sampler.
 
-    A numerator of zero is remapped to the smallest positive grid point
-    ``2**-p`` (a probability ``2**-p`` event) so the logarithm never sees
-    zero.  Exposed separately so attack code can re-evaluate exactly the
-    transform the sampler runs.
+    Maps grid numerator ``m`` at precision ``p`` (unchecked: callers pass a
+    valid grid point) through the inverse Laplace CDF.  A numerator of zero
+    is remapped to the smallest positive grid point ``2**-p`` (a
+    probability ``2**-p`` event) so the logarithm never sees zero.  Attack
+    code re-evaluates exactly this transform when it checks a grid point.
     """
-    if u.m == 0:
-        u = UniformVariate(1, u.p)
-    return laplace_inverse_cdf(u.value)
+    return laplace_inverse_cdf(math.ldexp(m or 1, -p))
+
+
+def naive_laplace_from_variate(u: UniformVariate) -> float:
+    """:func:`naive_laplace_from_numerator` applied to a variate."""
+    return naive_laplace_from_numerator(u.m, u.p)
 
 
 def naive_laplace(src: BitSource, p: int = DEFAULT_PRECISION) -> float:
@@ -69,7 +79,9 @@ def naive_laplace(src: BitSource, p: int = DEFAULT_PRECISION) -> float:
 
     This is the textbook inverse-transform sampler.  Its output space is a
     deterministic image of the ``2**p``-point grid, which is exactly what
-    makes it attackable; it is included as the baseline under test.
+    makes it attackable; it is included as the baseline under test.  At
+    ``p = 1`` it always returns ``0.0``: both grid points map to
+    ``u = 0.5``, because the zero numerator is remapped onto ``m = 1``.
     """
     return naive_laplace_from_variate(next_uniform(src, p))
 
@@ -123,11 +135,6 @@ class GaussianStream:
         return first
 
 
-def box_muller(stream: GaussianStream) -> float:
-    """One standard Gaussian from ``stream`` (cached-pair semantics)."""
-    return stream.next()
-
-
 def secure_gaussian(
     src: BitSource, p: int = DEFAULT_PRECISION, n: int = DEFAULT_DIVISIBILITY
 ) -> float:
@@ -139,8 +146,7 @@ def secure_gaussian(
     output now requires searching roughly the full product grid of all
     ``2 n`` uniforms instead of reading one pair off the output.
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise ValueError(f"divisibility must be a positive integer, got {n!r}")
+    _check_divisibility(n)
     stream = GaussianStream(src, p)
     total = 0.0
     for _ in range(2 * n):
@@ -254,16 +260,27 @@ class SamplerMethod:
         return self._factory(src, p)
 
 
-def _stateless(fn: Callable[..., float], **kwargs) -> _DrawerFactory:
-    def factory(src: BitSource, p: int) -> Callable[[], float]:
-        return lambda: fn(src, p, **kwargs)
-
-    return factory
-
-
-def _stream_factory(src: BitSource, p: int) -> Callable[[], float]:
-    stream = GaussianStream(src, p)
-    return stream.next
+# name -> (family, hardening, uniforms per draw per unit of divisibility,
+# default divisibility or None for methods without one, drawer factory
+# (src, p, n) -> zero-argument drawer).  Insertion order is registry order.
+_REGISTRY: dict[str, tuple[str, str, int, int | None, Callable[..., Callable[[], float]]]] = {
+    "naive-laplace":
+        ("laplace", "naive", 1, None, lambda s, p, n: lambda: naive_laplace(s, p)),
+    "box-muller":
+        ("gaussian", "naive", 1, None, lambda s, p, n: GaussianStream(s, p).next),
+    "laplace-expdiff":
+        ("laplace", "divisible", 2, None, lambda s, p, n: lambda: laplace_expdiff(s, p)),
+    "laplace-sqsum":
+        ("laplace", "divisible", 8, 1, lambda s, p, n: lambda: laplace_sqsum(s, p, n)),
+    "laplace-proddiff":
+        ("laplace", "divisible", 8, 1, lambda s, p, n: lambda: laplace_proddiff(s, p, n)),
+    "laplace-logcos":
+        ("laplace", "divisible", 4, None, lambda s, p, n: lambda: laplace_logcos(s, p)),
+    "laplace-logcos-sym":
+        ("laplace", "divisible", 4, None, lambda s, p, n: lambda: laplace_logcos(s, p, True)),
+    "secure-gaussian": ("gaussian", "divisible", 2, DEFAULT_DIVISIBILITY,
+                        lambda s, p, n: lambda: secure_gaussian(s, p, n)),
+}
 
 
 def get_method(name: str, n: int | None = None) -> SamplerMethod:
@@ -274,65 +291,19 @@ def get_method(name: str, n: int | None = None) -> SamplerMethod:
     (default 1).  Passing ``n`` for a method without a divisibility knob is
     an error.
     """
-    if n is not None and not (isinstance(n, int) and n >= 1):
-        raise ValueError(f"divisibility must be a positive integer, got {n!r}")
-    if name == "naive-laplace":
-        if n is not None:
-            raise ValueError("naive-laplace takes no divisibility parameter")
-        return SamplerMethod("naive-laplace", "laplace", "naive", 1, _stateless(naive_laplace))
-    if name == "box-muller":
-        if n is not None:
-            raise ValueError("box-muller takes no divisibility parameter")
-        return SamplerMethod("box-muller", "gaussian", "naive", 1, _stream_factory)
-    if name == "laplace-expdiff":
-        if n is not None:
-            raise ValueError("laplace-expdiff takes no divisibility parameter")
-        return SamplerMethod(
-            "laplace-expdiff", "laplace", "divisible", 2, _stateless(laplace_expdiff)
-        )
-    if name == "laplace-logcos":
-        if n is not None:
-            raise ValueError("laplace-logcos takes no divisibility parameter")
-        return SamplerMethod(
-            "laplace-logcos", "laplace", "divisible", 4, _stateless(laplace_logcos)
-        )
-    if name == "laplace-logcos-sym":
-        if n is not None:
-            raise ValueError("laplace-logcos-sym takes no divisibility parameter")
-        return SamplerMethod(
-            "laplace-logcos-sym",
-            "laplace",
-            "divisible",
-            4,
-            _stateless(laplace_logcos, symmetric=True),
-        )
-    if name == "laplace-sqsum":
-        m = 1 if n is None else n
-        return SamplerMethod(
-            "laplace-sqsum", "laplace", "divisible", 8 * m, _stateless(laplace_sqsum, m=m)
-        )
-    if name == "laplace-proddiff":
-        m = 1 if n is None else n
-        return SamplerMethod(
-            "laplace-proddiff", "laplace", "divisible", 8 * m, _stateless(laplace_proddiff, m=m)
-        )
-    if name == "secure-gaussian":
-        order = DEFAULT_DIVISIBILITY if n is None else n
-        return SamplerMethod(
-            "secure-gaussian", "gaussian", "divisible", 2 * order, _stateless(secure_gaussian, n=order)
-        )
-    raise ValueError(f"unknown sampler method {name!r}")
+    if n is not None:
+        _check_divisibility(n)
+    if name not in _REGISTRY:
+        raise ValueError(f"unknown sampler method {name!r}")
+    family, hardening, per_unit, default_n, factory = _REGISTRY[name]
+    if n is not None and default_n is None:
+        raise ValueError(f"{name} takes no divisibility parameter")
+    order = default_n if n is None else n
+    return SamplerMethod(
+        name, family, hardening, per_unit * (order or 1), lambda src, p: factory(src, p, order)
+    )
 
 
 def method_names() -> list[str]:
     """All registered sampler names, in registry order."""
-    return [
-        "naive-laplace",
-        "box-muller",
-        "laplace-expdiff",
-        "laplace-sqsum",
-        "laplace-proddiff",
-        "laplace-logcos",
-        "laplace-logcos-sym",
-        "secure-gaussian",
-    ]
+    return list(_REGISTRY)

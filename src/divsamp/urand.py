@@ -25,7 +25,8 @@ __all__ = [
     "UniformVariate",
     "BitSource",
     "next_uniform",
-    "round_to_multiple",
+    "grid_round",
+    "grid_window",
     "round_to_variate",
     "neighbors",
 ]
@@ -133,49 +134,31 @@ def next_uniform(src: BitSource, p: int = DEFAULT_PRECISION) -> UniformVariate:
     return UniformVariate(m, p)
 
 
-def round_to_multiple(x: float, k: float) -> float:
-    """Round ``x`` to the nearest integer multiple of ``k``, ties to even.
+def grid_round(x: float, p: int) -> int:
+    """Numerator of the precision-``p`` grid point nearest ``x``, clamped to the grid.
 
-    This is the grid-rounding operator used throughout the attack code;
-    the ties-to-even rule matches the default IEEE-754 rounding mode so
-    the attacker's rounding agrees with the arithmetic being attacked.
-
-    Args:
-        x: a finite real.
-        k: a positive finite step.
-
-    Raises:
-        ValueError: for non-finite ``x``, non-positive or non-finite ``k``,
-            or when ``x / k`` overflows.
+    Rounds half to even, as IEEE-754 arithmetic does, so the attacker's
+    rounding agrees with the arithmetic being attacked.  Values rounding
+    below 0 clamp to ``0``; values rounding to 1 or above clamp to the top
+    numerator ``2**p - 1``.  Clamping (rather than erroring) is what the
+    attack's neighbourhood search wants: a CDF value within an ulp of 1.0
+    still identifies the top of the grid.  ``x`` must be finite and ``p``
+    valid; :func:`round_to_variate` is the checked form.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"cannot round non-finite value {x!r}")
-    if not (math.isfinite(k) and k > 0):
-        raise ValueError(f"step must be positive and finite, got {k!r}")
-    q = x / k
-    if not math.isfinite(q):
-        raise ValueError(f"rounding {x!r} to multiples of {k!r} overflows")
-    return round(q) * k
+    return min(max(round(math.ldexp(x, p)), 0), (1 << p) - 1)
+
+
+def grid_window(m: int, p: int, w: int) -> range:
+    """Ascending numerators within ``w`` steps of ``m``, truncated at the grid edges."""
+    return range(max(0, m - w), min((1 << p) - 1, m + w) + 1)
 
 
 def round_to_variate(x: float, p: int) -> UniformVariate:
-    """Round a real to the nearest precision-``p`` grid point, clamped to the grid.
-
-    Values rounding below 0 clamp to ``m = 0``; values rounding to 1 or
-    above clamp to the top grid point ``m = 2**p - 1``.  Clamping (rather
-    than erroring) is what the attack's neighbourhood search wants: a CDF
-    value within an ulp of 1.0 still identifies the top of the grid.
-    """
+    """The grid point nearest ``x`` as a validated variate (see :func:`grid_round`)."""
     check_precision(p)
     if not math.isfinite(x):
         raise ValueError(f"cannot round non-finite value {x!r}")
-    m = round(math.ldexp(x, p))
-    top = (1 << p) - 1
-    if m < 0:
-        m = 0
-    elif m > top:
-        m = top
-    return UniformVariate(m, p)
+    return UniformVariate(grid_round(x, p), p)
 
 
 def neighbors(u: UniformVariate, w: int) -> list[UniformVariate]:
@@ -186,7 +169,4 @@ def neighbors(u: UniformVariate, w: int) -> list[UniformVariate]:
     """
     if w < 0:
         raise ValueError(f"window must be non-negative, got {w}")
-    top = (1 << u.p) - 1
-    lo = max(0, u.m - w)
-    hi = min(top, u.m + w)
-    return [UniformVariate(m, u.p) for m in range(lo, hi + 1)]
+    return [UniformVariate(m, u.p) for m in grid_window(u.m, u.p, w)]

@@ -10,7 +10,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from divsamp.attack import (
@@ -26,9 +26,10 @@ from divsamp.attack import (
     expected_checks,
     gaussian_pair_attack,
     invert_box_muller,
-    level_curve_u1,
     mironov_attack,
 )
+from divsamp.attack import _laplace_survives, _pair_survives
+from divsamp.dist import laplace_cdf
 from divsamp.sampler import (
     GaussianStream,
     bm_cos,
@@ -36,9 +37,24 @@ from divsamp.sampler import (
     laplace_expdiff,
     laplace_logcos,
     naive_laplace,
+    naive_laplace_from_numerator,
+    naive_laplace_from_variate,
     secure_gaussian,
 )
-from divsamp.urand import BitSource, UniformVariate, next_uniform
+from divsamp.urand import BitSource, UniformVariate, neighbors, next_uniform, round_to_variate
+
+# invalid campaign arguments shared by both attacks; each must be rejected
+# before the first query
+BAD_CAMPAIGN_KWARGS = [
+    {"p": 0},
+    {"w": -1},
+    {"scale": 0.0},
+    {"scale": -1.0},
+    {"scale": math.inf},
+    {"max_queries": -5},
+    {"candidates": [0.0, math.nan]},
+    {"candidates": [math.inf, 1.0]},
+]
 
 
 class TestQueryOracle:
@@ -120,11 +136,12 @@ class TestMironovAttack:
         eliminated = [c for _, gone in out.trace for c in gone]
         assert sorted(eliminated + [out.value]) == sorted(cands)
 
-    @pytest.mark.parametrize("kwargs", [{"p": 0}, {"w": -1}, {"scale": 0.0},
-                                        {"scale": -1.0}, {"scale": math.inf}])
+    @pytest.mark.parametrize("kwargs", BAD_CAMPAIGN_KWARGS)
     def test_bad_parameters(self, kwargs):
+        oracle = QueryOracle(0.0, lambda: 0.0)
         with pytest.raises(ValueError):
-            mironov_attack(QueryOracle(0.0, lambda: 0.0), [0.0, 1.0], **kwargs)
+            mironov_attack(oracle, **{"candidates": [0.0, 1.0], **kwargs})
+        assert oracle.call_count == 0
 
     def test_int_candidates_come_back_as_floats(self):
         src = BitSource(seed=9060)
@@ -230,6 +247,14 @@ class TestGaussianPairAttack:
         out = gaussian_pair_attack(oracle, [4.5])
         assert (out.status, out.value, out.queries_used) == ("identified", 4.5, 0)
 
+    @pytest.mark.parametrize("kwargs", BAD_CAMPAIGN_KWARGS)
+    def test_bad_parameters(self, kwargs):
+        stream = GaussianStream(BitSource(seed=9280))
+        oracle = QueryOracle(0.0, stream.next, stream=stream)
+        with pytest.raises(ValueError):
+            gaussian_pair_attack(oracle, **{"candidates": [0.0, 1.0], **kwargs})
+        assert oracle.call_count == 0
+
     def test_trace_records_query_pairs(self):
         stream = GaussianStream(BitSource(seed=9270))
         oracle = QueryOracle(0.0, stream.next, stream=stream)
@@ -238,25 +263,82 @@ class TestGaussianPairAttack:
             assert isinstance(q1, float) and isinstance(q2, float)
 
 
-class TestLevelCurve:
-    def test_matches_pair_inversion_on_axis(self):
-        for n1 in (0.5, 1.0, 2.0):
-            assert level_curve_u1(n1, 0.0) == invert_box_muller(n1, 0.0)[0]
+finite = st.floats(allow_nan=False, allow_infinity=False)
 
-    def test_example_value(self):
-        assert level_curve_u1(1.0, 0.0) == 1.0 - math.exp(-0.5)
 
-    def test_saturates_where_cosine_vanishes(self):
-        # float cos(pi/2) is tiny but nonzero; the exponential underflows
-        assert level_curve_u1(1.0, 0.25) == 1.0
+def reference_laplace_survives(q, c, p, w, scale):
+    # the survival check written over validated variates
+    u = round_to_variate(laplace_cdf((q - c) / scale), p)
+    return any(scale * naive_laplace_from_variate(v) + c == q for v in neighbors(u, w))
 
-    def test_zero_output_needs_zero_u1(self):
-        assert level_curve_u1(0.0, 0.1) == 0.0
 
-    @given(st.floats(min_value=0.01, max_value=3.0), st.floats(min_value=0.01, max_value=3.0))
-    def test_monotone_in_magnitude(self, a, b):
-        lo, hi = sorted((a, b))
-        assert level_curve_u1(lo, 0.05) <= level_curve_u1(hi, 0.05)
+def reference_pair_survives(q1, q2, c, p, w, scale):
+    n1, n2 = (q1 - c) / scale, (q2 - c) / scale
+    if n1 == 0.0 and n2 == 0.0:
+        return c + scale * bm_cos(0.0, 0.0) == q1 and c + scale * bm_sin(0.0, 0.0) == q2
+    u1, u2 = invert_box_muller(n1, n2)
+    return any(
+        c + scale * bm_cos(a.value, b.value) == q1 and c + scale * bm_sin(a.value, b.value) == q2
+        for a in neighbors(round_to_variate(u1, p), w)
+        for b in neighbors(round_to_variate(u2, p), w)
+    )
+
+
+class TestSurvivalChecksAgainstVariateReference:
+    """The integer-numerator survival checks agree with the variate formulation.
+
+    Queries come either from the assumed sampler at a true candidate or
+    from anywhere; the candidate checked is the true one, a nearby offset
+    or an arbitrary finite value, so both survivals and eliminations occur.
+    """
+
+    @staticmethod
+    def _campaign(data):
+        p = data.draw(st.integers(min_value=1, max_value=53), label="p")
+        w = data.draw(st.integers(min_value=0, max_value=4), label="w")
+        scale = data.draw(
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), label="scale"
+        )
+        true_c = data.draw(finite, label="true_c")
+        c = data.draw(
+            st.one_of(
+                st.just(true_c),
+                st.floats(min_value=-4.0, max_value=4.0).map(lambda d: true_c + d),
+                finite,
+            ),
+            label="c",
+        )
+        grid = st.integers(min_value=0, max_value=(1 << p) - 1)
+        return p, w, scale, true_c, c, grid
+
+    @given(st.data())
+    @settings(max_examples=400)
+    def test_laplace(self, data):
+        p, w, scale, true_c, c, grid = self._campaign(data)
+        modelled = grid.map(lambda m: scale * naive_laplace_from_numerator(m, p) + true_c)
+        q = data.draw(st.one_of(modelled, finite), label="q")
+        assume(math.isfinite(q) and math.isfinite(c))
+        assert _laplace_survives(q, c, p, w, scale) == reference_laplace_survives(
+            q, c, p, w, scale
+        )
+
+    @given(st.data())
+    @settings(max_examples=400)
+    def test_pair(self, data):
+        p, w, scale, true_c, c, grid = self._campaign(data)
+        m1, m2 = data.draw(grid, label="m1"), data.draw(grid, label="m2")
+        u1, u2 = math.ldexp(m1, -p), math.ldexp(m2, -p)
+        q1, q2 = data.draw(
+            st.one_of(
+                st.just((true_c + scale * bm_cos(u1, u2), true_c + scale * bm_sin(u1, u2))),
+                st.tuples(finite, finite),
+            ),
+            label="q",
+        )
+        assume(math.isfinite(q1) and math.isfinite(q2) and math.isfinite(c))
+        assert _pair_survives(q1, q2, c, p, w, scale) == reference_pair_survives(
+            q1, q2, c, p, w, scale
+        )
 
 
 class TestCountFeasible:

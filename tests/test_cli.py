@@ -124,6 +124,9 @@ class TestSample:
             ["sample", "--epsilon", "0"],
             ["sample", "--method", "box-muller", "--epsilon", "1.0"],
             ["sample", "--method", "naive-laplace", "--n", "2"],
+            ["sample", "--epsilon", "nan"],
+            ["sample", "--epsilon", "inf"],
+            ["sample", "--epsilon", "1e-320"],
         ],
     )
     def test_usage_errors(self, argv, capsys):
@@ -217,6 +220,12 @@ class TestAttack:
             ["attack", "--attack", "gaussian-pair", "--method", "naive-laplace"],
             ["attack", "--attack", "unknown-kind"],
             ["attack", "--window", "-1"],
+            ["attack", "--candidates", "0.0,nan", "--seed", "1"],
+            ["attack", "--target", "nan", "--seed", "1"],
+            ["attack", "--max-queries", "-5", "--seed", "1"],
+            ["attack", "--epsilon", "nan", "--seed", "1"],
+            ["attack", "--epsilon", "inf", "--seed", "1"],
+            ["attack", "--epsilon", "1e-320", "--seed", "1"],
         ],
     )
     def test_usage_errors(self, argv, capsys):
@@ -279,6 +288,9 @@ class TestVerify:
             ["verify", "--count", "2"],
             ["verify", "--against", "poisson"],
             ["verify", "--method", "box-muller", "--epsilon", "1.0"],
+            ["verify", "--epsilon", "nan", "--count", "100"],
+            ["verify", "--epsilon", "inf", "--count", "100"],
+            ["verify", "--epsilon", "1e-320", "--count", "100"],
         ],
     )
     def test_usage_errors(self, argv, capsys):

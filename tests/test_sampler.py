@@ -20,7 +20,6 @@ from divsamp.sampler import (
     bm_cos,
     bm_radius,
     bm_sin,
-    box_muller,
     get_method,
     laplace_expdiff,
     laplace_logcos,
@@ -72,6 +71,10 @@ class TestNaiveLaplace:
         outs = {naive_laplace_from_variate(UniformVariate(m, 8)) for m in range(256)}
         assert len(outs) == 255
 
+    def test_p1_always_emits_zero(self):
+        # both grid points map to u = 0.5: the zero numerator is remapped onto 1
+        assert {naive_laplace_from_variate(UniformVariate(m, 1)) for m in (0, 1)} == {0.0}
+
 
 class TestBoxMullerMaps:
     def test_radius_one_point(self):
@@ -118,11 +121,6 @@ class TestGaussianStream:
         stream.next()
         assert src.uniforms_drawn == 4
 
-    def test_box_muller_wrapper(self):
-        a = GaussianStream(BitSource(seed=77), 53)
-        b = GaussianStream(BitSource(seed=77), 53)
-        assert box_muller(a) == b.next()
-
     def test_bad_precision(self):
         with pytest.raises(ValueError):
             GaussianStream(BitSource(seed=1), 0)
@@ -153,7 +151,7 @@ class TestSecureGaussian:
         secure_gaussian(src, 53, 1)
         assert src.uniforms_drawn == count_before + 2
 
-    @pytest.mark.parametrize("n", [0, -1, 2.0, "4"])
+    @pytest.mark.parametrize("n", [0, -1, 2.0, "4", True])
     def test_bad_divisibility(self, n):
         with pytest.raises(ValueError):
             secure_gaussian(BitSource(seed=1), 53, n)
@@ -308,6 +306,8 @@ class TestMethodRegistry:
     def test_bad_divisibility_value(self):
         with pytest.raises(ValueError):
             get_method("secure-gaussian", 0)
+        with pytest.raises(ValueError):
+            get_method("secure-gaussian", True)
 
     def test_drawer_is_bound_and_deterministic(self):
         method = get_method("laplace-logcos")

@@ -11,7 +11,6 @@ from divsamp.urand import (
     UniformVariate,
     neighbors,
     next_uniform,
-    round_to_multiple,
     round_to_variate,
 )
 
@@ -100,47 +99,6 @@ class TestUniformity:
         expected = n / cells
         stat = sum((c - expected) ** 2 / expected for c in counts)
         assert stat < chi2.ppf(0.999, cells - 1)
-
-
-class TestRoundToMultiple:
-    @pytest.mark.parametrize(
-        "x,k,expected",
-        [
-            (0.3, 0.25, 0.25),
-            (0.375, 0.25, 0.5),  # tie resolved to the even multiple
-            (0.7, 1.0, 1.0),
-            (0.5, 1.0, 0.0),  # tie to even again
-            (-0.3, 0.25, -0.25),
-        ],
-    )
-    def test_examples(self, x, k, expected):
-        assert round_to_multiple(x, k) == expected
-
-    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
-    def test_non_finite_rejected(self, x):
-        with pytest.raises(ValueError):
-            round_to_multiple(x, 0.25)
-
-    @pytest.mark.parametrize("k", [0.0, -1.0, math.inf])
-    def test_bad_step_rejected(self, k):
-        with pytest.raises(ValueError):
-            round_to_multiple(0.5, k)
-
-    @given(
-        st.floats(min_value=-1e6, max_value=1e6),
-        st.integers(min_value=1, max_value=40),
-    )
-    @settings(max_examples=200)
-    def test_result_is_nearest_multiple(self, x, p):
-        k = math.ldexp(1.0, -p)
-        r = round_to_multiple(x, k)
-        assert math.ldexp(r, p) == round(math.ldexp(r, p))  # exact multiple
-        assert abs(r - x) <= k / 2 + 1e-18
-
-    @given(st.floats(min_value=-100.0, max_value=100.0))
-    def test_idempotent(self, x):
-        r = round_to_multiple(x, 0.125)
-        assert round_to_multiple(r, 0.125) == r
 
 
 class TestRoundToVariate:
