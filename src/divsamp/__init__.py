@@ -24,7 +24,19 @@ from .attack import (
     invert_box_muller,
     mironov_attack,
 )
-from .dist import gaussian_cdf, laplace_cdf, laplace_inverse_cdf
+from .dist import (
+    ChiSquared,
+    DistributionSpec,
+    Exponential,
+    Gamma,
+    Gaussian,
+    Laplace,
+    Uniform,
+    gaussian_cdf,
+    laplace_cdf,
+    laplace_inverse_cdf,
+    pdf,
+)
 from .sampler import (
     GaussianStream,
     SamplerMethod,
@@ -62,12 +74,19 @@ __all__ = [
     "AttackOutcome",
     "BitSource",
     "BruteForceResult",
+    "ChiSquared",
+    "DistributionSpec",
     "EntropyError",
+    "Exponential",
+    "Gamma",
+    "Gaussian",
     "GaussianStream",
+    "Laplace",
     "MomentSummary",
     "PhaseAlignmentError",
     "QueryOracle",
     "SamplerMethod",
+    "Uniform",
     "UniformVariate",
     "brute_force_single_gaussian",
     "count_feasible_checks",
@@ -93,6 +112,7 @@ __all__ = [
     "naive_laplace_from_variate",
     "neighbors",
     "next_uniform",
+    "pdf",
     "round_to_variate",
     "secure_gaussian",
     "symmetric_cos",

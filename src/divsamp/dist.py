@@ -1,4 +1,4 @@
-"""Analytic reference distributions: the Laplace and Gaussian CDFs.
+"""Analytic reference distributions: densities and CDFs.
 
 These are the closed forms the samplers are checked against.  The Laplace
 CDF and its inverse are written exactly as the sampling transforms use
@@ -10,14 +10,146 @@ to within an ulp.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 __all__ = [
+    "Uniform",
+    "Gaussian",
+    "Laplace",
+    "Exponential",
+    "Gamma",
+    "ChiSquared",
+    "DistributionSpec",
+    "pdf",
     "laplace_cdf",
     "laplace_inverse_cdf",
     "gaussian_cdf",
 ]
 
 _SQRT_TWO = math.sqrt(2.0)
+_GAUSS_NORM = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+@dataclass(frozen=True)
+class Uniform:
+    """Continuous uniform on the closed interval ``[a, b]``."""
+
+    a: float
+    b: float
+
+    def __post_init__(self) -> None:
+        if not self.a < self.b:
+            raise ValueError(f"need a < b, got a={self.a}, b={self.b}")
+
+
+@dataclass(frozen=True)
+class Gaussian:
+    """Normal with mean ``mu`` and standard deviation ``sigma``."""
+
+    mu: float = 0.0
+    sigma: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not self.sigma > 0:
+            raise ValueError(f"sigma must be positive, got {self.sigma}")
+
+
+@dataclass(frozen=True)
+class Laplace:
+    """Laplace with location ``mu`` and scale ``b`` (variance ``2 b**2``)."""
+
+    mu: float = 0.0
+    b: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not self.b > 0:
+            raise ValueError(f"scale must be positive, got {self.b}")
+
+
+@dataclass(frozen=True)
+class Exponential:
+    """Exponential with rate ``lam`` (mean ``1 / lam``), supported on x >= 0."""
+
+    lam: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not self.lam > 0:
+            raise ValueError(f"rate must be positive, got {self.lam}")
+
+
+@dataclass(frozen=True)
+class Gamma:
+    """Gamma with shape ``k`` and scale ``theta``, supported on x > 0."""
+
+    k: float
+    theta: float
+
+    def __post_init__(self) -> None:
+        if not (self.k > 0 and self.theta > 0):
+            raise ValueError(
+                f"shape and scale must be positive, got k={self.k}, theta={self.theta}"
+            )
+
+
+@dataclass(frozen=True)
+class ChiSquared:
+    """Chi-squared with ``k`` degrees of freedom."""
+
+    k: int
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.k, int) and not isinstance(self.k, bool) and self.k >= 1):
+            raise ValueError(f"degrees of freedom must be a positive integer, got {self.k!r}")
+
+
+DistributionSpec = Uniform | Gaussian | Laplace | Exponential | Gamma | ChiSquared
+
+
+def pdf(spec: DistributionSpec, x: float) -> float:
+    """Evaluate the density of ``spec`` at ``x`` (0.0 outside the support).
+
+    Gamma and chi-squared densities at exactly ``x = 0`` return the
+    limiting value: 0 for shape > 1, the finite limit for shape == 1, and
+    ``inf`` for shape < 1.
+    """
+    if isinstance(spec, Uniform):
+        if spec.a <= x <= spec.b:
+            return 1.0 / (spec.b - spec.a)
+        return 0.0
+    if isinstance(spec, Gaussian):
+        z = (x - spec.mu) / spec.sigma
+        return _GAUSS_NORM / spec.sigma * math.exp(-0.5 * z * z)
+    if isinstance(spec, Laplace):
+        return math.exp(-abs(x - spec.mu) / spec.b) / (2.0 * spec.b)
+    if isinstance(spec, Exponential):
+        if x < 0.0:
+            return 0.0
+        return spec.lam * math.exp(-spec.lam * x)
+    if isinstance(spec, Gamma):
+        return _shape_scale_pdf(x, spec.k, spec.theta, math.gamma(spec.k))
+    if isinstance(spec, ChiSquared):
+        half = spec.k / 2.0
+        return _shape_scale_pdf(x, half, 2.0, math.gamma(half))
+    raise TypeError(f"not a distribution spec: {spec!r}")
+
+
+def _shape_scale_pdf(x: float, shape: float, scale: float, gamma_shape: float) -> float:
+    # Shared gamma-family density x**(shape-1) e**(-x/scale) / (Gamma(shape) scale**shape).
+    if x < 0.0:
+        return 0.0
+    if x == 0.0:
+        if shape > 1.0:
+            return 0.0
+        if shape == 1.0:
+            return 1.0 / scale
+        return math.inf
+    log_density = (
+        (shape - 1.0) * math.log(x)
+        - x / scale
+        - math.log(gamma_shape)
+        - shape * math.log(scale)
+    )
+    return math.exp(log_density)
 
 
 def laplace_cdf(x: float) -> float:

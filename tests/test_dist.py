@@ -12,7 +12,86 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from divsamp.dist import gaussian_cdf, laplace_cdf, laplace_inverse_cdf
+from divsamp.dist import (
+    ChiSquared,
+    Exponential,
+    Gamma,
+    Gaussian,
+    Laplace,
+    Uniform,
+    gaussian_cdf,
+    laplace_cdf,
+    laplace_inverse_cdf,
+    pdf,
+)
+
+
+class TestPdf:
+    def test_laplace_mode(self):
+        assert pdf(Laplace(), 0.0) == 0.5
+
+    def test_gaussian_mode(self):
+        assert pdf(Gaussian(), 0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-15)
+
+    def test_uniform_density_and_support(self):
+        u = Uniform(2.0, 6.0)
+        assert pdf(u, 3.0) == 0.25
+        assert pdf(u, 2.0) == 0.25 and pdf(u, 6.0) == 0.25  # closed interval
+        assert pdf(u, 1.999) == 0.0 and pdf(u, 6.001) == 0.0
+
+    def test_exponential_support(self):
+        assert pdf(Exponential(1.0), -0.001) == 0.0
+        assert pdf(Exponential(1.0), 0.0) == 1.0
+
+    def test_exponential_integrates_to_one(self):
+        total, err = quad(lambda x: pdf(Exponential(1.0), x), 0.0, 50.0)
+        assert abs(total - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "spec,lo,hi",
+        [
+            (Gaussian(0.0, 1.0), -40.0, 40.0),
+            (Gaussian(1.5, 0.5), -20.0, 20.0),
+            (Laplace(0.0, 1.0), -60.0, 60.0),
+            (Laplace(-2.0, 3.0), -150.0, 150.0),
+            (Exponential(0.5), 0.0, 120.0),
+            (Gamma(2.5, 1.5), 0.0, 100.0),
+            (Gamma(0.5, 1.0), 0.0, 80.0),
+            (ChiSquared(3), 0.0, 90.0),
+            (ChiSquared(1), 0.0, 90.0),
+            (Uniform(-1.0, 4.0), -1.0, 4.0),
+        ],
+    )
+    def test_unit_mass(self, spec, lo, hi):
+        total, _ = quad(lambda x: pdf(spec, x), lo, hi, limit=200)
+        assert abs(total - 1.0) <= 1e-7
+
+    def test_gamma_edge_values_at_zero(self):
+        assert pdf(Gamma(2.0, 1.0), 0.0) == 0.0
+        assert pdf(Gamma(1.0, 2.0), 0.0) == 0.5
+        assert pdf(Gamma(0.5, 1.0), 0.0) == math.inf
+
+    def test_laplace_variance_is_two_b_squared(self):
+        spec = Laplace(0.0, 1.0)
+        second, _ = quad(lambda x: x * x * pdf(spec, x), -60.0, 60.0, limit=200)
+        assert second == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda: Uniform(1.0, 1.0),
+            lambda: Gaussian(0.0, 0.0),
+            lambda: Gaussian(0.0, -1.0),
+            lambda: Laplace(0.0, 0.0),
+            lambda: Exponential(-2.0),
+            lambda: Gamma(0.0, 1.0),
+            lambda: Gamma(1.0, -1.0),
+            lambda: ChiSquared(0),
+        ],
+    )
+    def test_invalid_parameters(self, bad):
+        with pytest.raises(ValueError):
+            bad()
 
 
 class TestLaplaceCdf:
