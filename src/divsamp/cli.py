@@ -153,8 +153,7 @@ def _run_sample(parser, args) -> int:
     method = _resolve_method(parser, args)
     scale = _noise_scale(parser, args, method)
     src = BitSource(args.seed)
-    drawer = method.make_drawer(src, args.p)
-    values = [scale * drawer() for _ in range(args.count)]
+    values = [scale * x for x in method.draw(src, args.p, args.count)]
     payload = {
         "command": "sample",
         "method": method.name,
@@ -253,10 +252,22 @@ def _run_verify(parser, args) -> int:
         _fail(parser, f"verification needs at least 4 draws, got {args.count}")
     method = _resolve_method(parser, args)
     scale = _noise_scale(parser, args, method)
+    # Every grid uniform has 1 - u >= 2**-53, so -log(1 - u) <= L = 53 ln 2,
+    # and a unit-scale draw that combines U uniforms is at most U * L in
+    # magnitude (logcos reaches 2L from U = 4; sqsum and proddiff over
+    # 2m-fold Gaussians, each output at most sqrt(2m * 2L), reach U L / 2
+    # and U L from U = 8m).  Deviations from the sample mean are then at
+    # most 2 U L scale, and the fourth-moment sum over ``count`` draws is
+    # the first quantity to overflow; it stays finite while
+    # count * (2 U L scale)**4 does.
+    max_scale = (sys.float_info.max / args.count) ** 0.25 / (
+        2 * method.uniforms_per_draw * 53 * math.log(2.0))
+    if scale > max_scale:
+        _fail(parser, f"epsilon {args.epsilon} is too small for finite moments over "
+                      f"{args.count} {method.name} draws; it must be at least {1 / max_scale:.3g}")
     reference = args.against or method.family
     src = BitSource(args.seed)
-    drawer = method.make_drawer(src, args.p)
-    values = [scale * drawer() for _ in range(args.count)]
+    values = [scale * x for x in method.draw(src, args.p, args.count)]
 
     if reference == "laplace":
         cdf = lambda x: dist.laplace_cdf(x / scale)  # noqa: E731
@@ -302,6 +313,7 @@ def _run_verify(parser, args) -> int:
             "excess_kurtosis": summary.excess_kurtosis,
         },
         "pass": ks_pass and var_pass,
+        "cost": {"uniforms_drawn": src.uniforms_drawn, "bits_drawn": src.bits_drawn},
     }
     rows = [
         ["ks", stat, critical, ks_pass],

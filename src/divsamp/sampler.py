@@ -12,12 +12,21 @@ exponentials), ``laplace_sqsum`` and ``laplace_proddiff`` (four Gaussians),
 The forward Box-Muller maps are factored out as :func:`bm_cos` /
 :func:`bm_sin` because the attack module must re-evaluate them with
 bit-identical arithmetic.
+
+Each method's arithmetic is written once, as a *kernel*: a function of
+``(take, p)`` that pulls the grid numerators of one output, in draw order,
+from the zero-argument ``take`` and returns that output (the Box-Muller
+pair kernel returns both halves of the pair).  The scalar samplers feed a
+kernel from :func:`next_uniform`; :meth:`SamplerMethod.draw` feeds it from
+:meth:`BitSource.numerators` batches.  Only the source of the numerators
+differs, so both paths give the same bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .dist import laplace_inverse_cdf
@@ -25,15 +34,21 @@ from .urand import BitSource, DEFAULT_PRECISION, UniformVariate, check_precision
 
 DEFAULT_DIVISIBILITY = 4
 TWO_PI = 2.0 * math.pi
+# Uniforms drawn per batch by SamplerMethod.draw: enough to amortise one
+# getrandbits call, few enough that a 16-uniform method stays near the
+# scalar path's peak memory.
+DRAW_BATCH_UNIFORMS = 2048
 
 __all__ = [
     "DEFAULT_DIVISIBILITY",
+    "DRAW_BATCH_UNIFORMS",
     "naive_laplace",
     "naive_laplace_from_numerator",
     "naive_laplace_from_variate",
     "bm_radius",
     "bm_cos",
     "bm_sin",
+    "bm_pair",
     "GaussianStream",
     "secure_gaussian",
     "laplace_expdiff",
@@ -46,9 +61,13 @@ __all__ = [
     "method_names",
 ]
 
+_Take = Callable[[], int]
+_Kernel = Callable[[_Take, int], float]
 
-def _uniform_value(src: BitSource, p: int) -> float:
-    return next_uniform(src, p).value
+
+def _scalar_take(src: BitSource, p: int) -> _Take:
+    """A ``take`` that draws each numerator through :func:`next_uniform`."""
+    return lambda: next_uniform(src, p).m
 
 
 def _check_divisibility(n: int) -> None:
@@ -86,6 +105,10 @@ def naive_laplace(src: BitSource, p: int = DEFAULT_PRECISION) -> float:
     return naive_laplace_from_variate(next_uniform(src, p))
 
 
+def _naive_kernel(take: _Take, p: int) -> float:
+    return naive_laplace_from_numerator(take(), p)
+
+
 def bm_radius(u1: float) -> float:
     """Box-Muller radial factor ``sqrt(-2 log(1 - u1))``."""
     return math.sqrt(-2.0 * math.log(1.0 - u1))
@@ -99,6 +122,28 @@ def bm_cos(u1: float, u2: float) -> float:
 def bm_sin(u1: float, u2: float) -> float:
     """Sine-branch Box-Muller output for the uniform pair ``(u1, u2)``."""
     return bm_radius(u1) * math.sin(TWO_PI * u2)
+
+
+def bm_pair(u1: float, u2: float) -> tuple[float, float]:
+    """``(bm_cos(u1, u2), bm_sin(u1, u2))`` with the radial factor computed once."""
+    r = bm_radius(u1)
+    return r * math.cos(TWO_PI * u2), r * math.sin(TWO_PI * u2)
+
+
+def _bm_pair_kernel(take: _Take, p: int) -> tuple[float, float]:
+    u1 = math.ldexp(take(), -p)
+    return bm_pair(u1, math.ldexp(take(), -p))
+
+
+def _gaussian_sum_kernel(take: _Take, p: int, n: int) -> float:
+    # both halves of n pairs, added one at a time in stream order: the
+    # rounding of each addition is part of the seeded output
+    total = 0.0
+    for _ in range(n):
+        first, second = _bm_pair_kernel(take, p)
+        total += first
+        total += second
+    return total / math.sqrt(2 * n)
 
 
 class GaussianStream:
@@ -128,10 +173,7 @@ class GaussianStream:
             out = self._cache
             self._cache = None
             return out
-        u1 = _uniform_value(self.src, self.p)
-        u2 = _uniform_value(self.src, self.p)
-        first = bm_cos(u1, u2)
-        self._cache = bm_sin(u1, u2)
+        first, self._cache = _bm_pair_kernel(_scalar_take(self.src, self.p), self.p)
         return first
 
 
@@ -140,18 +182,21 @@ def secure_gaussian(
 ) -> float:
     """A standard Gaussian as a normalized sum of ``2 n`` Box-Muller outputs.
 
-    Draws a fresh stream, sums ``2 n`` consecutive outputs (both halves of
-    each evaluated pair, so nothing is cached across calls), and divides by
+    Sums ``2 n`` consecutive outputs of a fresh stream (both halves of each
+    evaluated pair, so nothing is cached across calls) and divides by
     ``sqrt(2 n)``.  Consumes exactly ``2 n`` uniforms.  Inverting one
     output now requires searching roughly the full product grid of all
     ``2 n`` uniforms instead of reading one pair off the output.
     """
     _check_divisibility(n)
-    stream = GaussianStream(src, p)
-    total = 0.0
-    for _ in range(2 * n):
-        total += stream.next()
-    return total / math.sqrt(2 * n)
+    check_precision(p)
+    return _gaussian_sum_kernel(_scalar_take(src, p), p, n)
+
+
+def _expdiff_kernel(take: _Take, p: int) -> float:
+    e1 = -math.log(1.0 - math.ldexp(take(), -p))
+    e2 = -math.log(1.0 - math.ldexp(take(), -p))
+    return e1 - e2
 
 
 def laplace_expdiff(src: BitSource, p: int = DEFAULT_PRECISION) -> float:
@@ -159,9 +204,22 @@ def laplace_expdiff(src: BitSource, p: int = DEFAULT_PRECISION) -> float:
 
     Consumes two uniforms: ``(-log(1-U1)) - (-log(1-U2))``.
     """
-    e1 = -math.log(1.0 - _uniform_value(src, p))
-    e2 = -math.log(1.0 - _uniform_value(src, p))
-    return e1 - e2
+    return _expdiff_kernel(_scalar_take(src, p), p)
+
+
+def _sqsum(n1: float, n2: float, n3: float, n4: float) -> float:
+    return 0.5 * (n1 * n1 - n2 * n2 + n3 * n3 - n4 * n4)
+
+
+def _proddiff(n1: float, n2: float, n3: float, n4: float) -> float:
+    return n1 * n2 - n3 * n4
+
+
+def _four_gaussians_kernel(combine: Callable[..., float], m: int) -> _Kernel:
+    """Kernel applying ``combine`` to four divisibility-``m`` Gaussian sums."""
+    def kernel(take: _Take, p: int) -> float:
+        return combine(*[_gaussian_sum_kernel(take, p, m) for _ in range(4)])
+    return kernel
 
 
 def laplace_sqsum(src: BitSource, p: int = DEFAULT_PRECISION, m: int = 1) -> float:
@@ -171,11 +229,7 @@ def laplace_sqsum(src: BitSource, p: int = DEFAULT_PRECISION, m: int = 1) -> flo
     :func:`secure_gaussian` with divisibility ``m``, so one output consumes
     ``8 m`` uniforms.
     """
-    n1 = secure_gaussian(src, p, m)
-    n2 = secure_gaussian(src, p, m)
-    n3 = secure_gaussian(src, p, m)
-    n4 = secure_gaussian(src, p, m)
-    return 0.5 * (n1 * n1 - n2 * n2 + n3 * n3 - n4 * n4)
+    return _sqsum(*[secure_gaussian(src, p, m) for _ in range(4)])
 
 
 def laplace_proddiff(src: BitSource, p: int = DEFAULT_PRECISION, m: int = 1) -> float:
@@ -184,11 +238,17 @@ def laplace_proddiff(src: BitSource, p: int = DEFAULT_PRECISION, m: int = 1) -> 
     As with :func:`laplace_sqsum`, each factor is a divisibility-``m``
     secure Gaussian, for ``8 m`` uniforms per output.
     """
-    n1 = secure_gaussian(src, p, m)
-    n2 = secure_gaussian(src, p, m)
-    n3 = secure_gaussian(src, p, m)
-    n4 = secure_gaussian(src, p, m)
-    return n1 * n2 - n3 * n4
+    return _proddiff(*[secure_gaussian(src, p, m) for _ in range(4)])
+
+
+def _symmetric_cos(m: int, p: int) -> float:
+    half = 1 << (p - 1)
+    c = math.cos(math.pi * math.ldexp(m & (half - 1), -p))
+    return -c if m & half else c
+
+
+def _plain_cos(m: int, p: int) -> float:
+    return math.cos(math.pi * math.ldexp(m, -p))
 
 
 def symmetric_cos(u: UniformVariate) -> float:
@@ -201,10 +261,22 @@ def symmetric_cos(u: UniformVariate) -> float:
     the sign symmetry that plain ``cos(pi * u)`` lacks over half-open
     uniforms.
     """
-    half = 1 << (u.p - 1)
-    mag = math.ldexp(u.m & (half - 1), -u.p)
-    c = math.cos(math.pi * mag)
-    return -c if u.m & half else c
+    return _symmetric_cos(u.m, u.p)
+
+
+def _logcos_kernel(cos_factor: Callable[[int, int], float]) -> _Kernel:
+    """Kernel for ``log(1-U1) c(U2) + log(1-U3) c(U4)`` with cosine factor ``c``."""
+    def kernel(take: _Take, p: int) -> float:
+        u1 = math.ldexp(take(), -p)
+        c2 = cos_factor(take(), p)
+        u3 = math.ldexp(take(), -p)
+        c4 = cos_factor(take(), p)
+        return math.log(1.0 - u1) * c2 + math.log(1.0 - u3) * c4
+    return kernel
+
+
+_LOGCOS = _logcos_kernel(_plain_cos)
+_LOGCOS_SYM = _logcos_kernel(_symmetric_cos)
 
 
 def laplace_logcos(
@@ -219,17 +291,7 @@ def laplace_logcos(
     :func:`symmetric_cos`, which restores the ±symmetry lost to the
     half-open uniform range.  Consumes four uniforms either way.
     """
-    u1 = _uniform_value(src, p)
-    if symmetric:
-        c2 = symmetric_cos(next_uniform(src, p))
-    else:
-        c2 = math.cos(math.pi * _uniform_value(src, p))
-    u3 = _uniform_value(src, p)
-    if symmetric:
-        c4 = symmetric_cos(next_uniform(src, p))
-    else:
-        c4 = math.cos(math.pi * _uniform_value(src, p))
-    return math.log(1.0 - u1) * c2 + math.log(1.0 - u3) * c4
+    return (_LOGCOS_SYM if symmetric else _LOGCOS)(_scalar_take(src, p), p)
 
 
 # --- method registry ---------------------------------------------------------
@@ -246,6 +308,10 @@ class SamplerMethod:
     for the latter, ``uniforms_per_draw`` is the attack-relevant component
     count.  For the cached Box-Muller stream the figure is amortized: two
     uniforms feed two consecutive outputs.
+
+    ``_kernel`` is the method's arithmetic (see the module docstring),
+    returning ``_outputs`` values per call; a method built without one
+    draws in bulk by calling its drawer.
     """
 
     name: str
@@ -253,33 +319,61 @@ class SamplerMethod:
     hardening: str  # "naive" | "divisible"
     uniforms_per_draw: int
     _factory: _DrawerFactory
+    _kernel: Callable[[_Take, int], object] | None = None
+    _outputs: int = 1
 
     def make_drawer(self, src: BitSource, p: int = DEFAULT_PRECISION) -> Callable[[], float]:
         """Bind the method to a bit source, returning a zero-argument drawer."""
         check_precision(p)
         return self._factory(src, p)
 
+    def draw(self, src: BitSource, p: int = DEFAULT_PRECISION, count: int = 1) -> list[float]:
+        """The values of ``count`` calls to ``make_drawer(src, p)()``, bit for bit.
+
+        Leaves ``src``'s counters and generator exactly where those calls
+        would.  Numerators come from :meth:`BitSource.numerators` in batches
+        of about :data:`DRAW_BATCH_UNIFORMS` uniforms, each fed through the
+        method's kernel.  Like the drawer, the Box-Muller stream evaluates
+        a whole pair for an odd last output and discards its second half.
+        """
+        check_precision(p)
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            raise ValueError(f"draw count must be a non-negative integer, got {count!r}")
+        if self._kernel is None:
+            drawer = self._factory(src, p)
+            return [drawer() for _ in range(count)]
+        kernel, outputs = self._kernel, self._outputs
+        per_call = self.uniforms_per_draw * outputs
+        calls = -(-count // outputs)
+        batch = max(1, DRAW_BATCH_UNIFORMS // per_call)
+        values: list[float] = []
+        for start in range(0, calls, batch):
+            k = min(batch, calls - start)
+            take = iter(src.numerators(p, k * per_call)).__next__
+            if outputs == 1:
+                values += [kernel(take, p) for _ in range(k)]
+            else:
+                for _ in range(k):
+                    values += kernel(take, p)
+        del values[count:]
+        return values
+
 
 # name -> (family, hardening, uniforms per draw per unit of divisibility,
-# default divisibility or None for methods without one, drawer factory
-# (src, p, n) -> zero-argument drawer).  Insertion order is registry order.
-_REGISTRY: dict[str, tuple[str, str, int, int | None, Callable[..., Callable[[], float]]]] = {
-    "naive-laplace":
-        ("laplace", "naive", 1, None, lambda s, p, n: lambda: naive_laplace(s, p)),
-    "box-muller":
-        ("gaussian", "naive", 1, None, lambda s, p, n: GaussianStream(s, p).next),
-    "laplace-expdiff":
-        ("laplace", "divisible", 2, None, lambda s, p, n: lambda: laplace_expdiff(s, p)),
+# default divisibility or None for methods without one, outputs per kernel
+# call, kernel for divisibility n).  Insertion order is registry order.
+_REGISTRY: dict[str, tuple[str, str, int, int | None, int, Callable[..., Callable]]] = {
+    "naive-laplace": ("laplace", "naive", 1, None, 1, lambda n: _naive_kernel),
+    "box-muller": ("gaussian", "naive", 1, None, 2, lambda n: _bm_pair_kernel),
+    "laplace-expdiff": ("laplace", "divisible", 2, None, 1, lambda n: _expdiff_kernel),
     "laplace-sqsum":
-        ("laplace", "divisible", 8, 1, lambda s, p, n: lambda: laplace_sqsum(s, p, n)),
+        ("laplace", "divisible", 8, 1, 1, lambda n: _four_gaussians_kernel(_sqsum, n)),
     "laplace-proddiff":
-        ("laplace", "divisible", 8, 1, lambda s, p, n: lambda: laplace_proddiff(s, p, n)),
-    "laplace-logcos":
-        ("laplace", "divisible", 4, None, lambda s, p, n: lambda: laplace_logcos(s, p)),
-    "laplace-logcos-sym":
-        ("laplace", "divisible", 4, None, lambda s, p, n: lambda: laplace_logcos(s, p, True)),
-    "secure-gaussian": ("gaussian", "divisible", 2, DEFAULT_DIVISIBILITY,
-                        lambda s, p, n: lambda: secure_gaussian(s, p, n)),
+        ("laplace", "divisible", 8, 1, 1, lambda n: _four_gaussians_kernel(_proddiff, n)),
+    "laplace-logcos": ("laplace", "divisible", 4, None, 1, lambda n: _LOGCOS),
+    "laplace-logcos-sym": ("laplace", "divisible", 4, None, 1, lambda n: _LOGCOS_SYM),
+    "secure-gaussian": ("gaussian", "divisible", 2, DEFAULT_DIVISIBILITY, 1,
+                        lambda n: lambda take, p: _gaussian_sum_kernel(take, p, n)),
 }
 
 
@@ -295,12 +389,17 @@ def get_method(name: str, n: int | None = None) -> SamplerMethod:
         _check_divisibility(n)
     if name not in _REGISTRY:
         raise ValueError(f"unknown sampler method {name!r}")
-    family, hardening, per_unit, default_n, factory = _REGISTRY[name]
+    family, hardening, per_unit, default_n, outputs, bind = _REGISTRY[name]
     if n is not None and default_n is None:
         raise ValueError(f"{name} takes no divisibility parameter")
     order = default_n if n is None else n
+    kernel = bind(order)
+    if outputs == 1:
+        factory = lambda src, p: partial(kernel, _scalar_take(src, p), p)  # noqa: E731
+    else:
+        factory = lambda src, p: GaussianStream(src, p).next  # noqa: E731
     return SamplerMethod(
-        name, family, hardening, per_unit * (order or 1), lambda src, p: factory(src, p, order)
+        name, family, hardening, per_unit * (order or 1), factory, kernel, outputs
     )
 
 

@@ -145,6 +145,5 @@ def distinct_output_count(
         )
     if draws < 1:
         raise ValueError(f"draw count must be positive, got {draws}")
-    drawer = method.make_drawer(src, p)
-    seen = {struct.pack("<d", drawer()) for _ in range(draws)}
+    seen = {struct.pack("<d", x) for x in method.draw(src, p, draws)}
     return len(seen)

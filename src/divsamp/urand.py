@@ -15,6 +15,8 @@ import random
 import secrets
 from dataclasses import dataclass
 
+import numpy as np
+
 MAX_PRECISION = 53
 DEFAULT_PRECISION = 53
 
@@ -116,8 +118,42 @@ class BitSource:
         """
         try:
             return self._rng.getrandbits(k)
-        except (NotImplementedError, OSError) as exc:  # pragma: no cover
+        except (NotImplementedError, OSError) as exc:
             raise EntropyError("system entropy source unavailable") from exc
+
+    def numerators(self, p: int, k: int) -> list[int]:
+        """The numerators of ``k`` successive :func:`next_uniform` calls at precision ``p``.
+
+        Returns exactly what those calls would, advances both counters as
+        they would, and leaves the generator where they would: the next
+        ``getrandbits`` returns the same value.  A seeded source makes one
+        ``getrandbits`` call for all ``k``.  Mersenne Twister serves a
+        request in 32-bit words, least significant first: a ``p <= 32``
+        draw is one word shifted right by ``32 - p``, and a ``p > 32`` draw
+        is a full low word plus a second word shifted right by ``64 - p``.
+        So one ``32 * k`` (or ``64 * k``) bit request holds the ``k``
+        draws' words in order, and they are split out with numpy.  A secure
+        source, or one whose ``getrandbits`` is overridden, is asked for
+        ``p`` bits per numerator, as the scalar path asks.
+        """
+        check_precision(p)
+        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+            raise ValueError(f"numerator count must be a non-negative integer, got {k!r}")
+        if self.seed is None or type(self).getrandbits is not BitSource.getrandbits:
+            ms = [self.getrandbits(p) for _ in range(k)]
+        else:
+            words_per_draw = 1 if p <= 32 else 2
+            raw = self.getrandbits(32 * words_per_draw * k).to_bytes(
+                4 * words_per_draw * k, "little")
+            w = np.frombuffer(raw, dtype="<u4")
+            if p <= 32:
+                ms = (w >> (32 - p)).tolist()
+            else:
+                w = w.astype(np.uint64)
+                ms = (w[0::2] | (w[1::2] >> (64 - p)) << 32).tolist()
+        self.uniforms_drawn += k
+        self.bits_drawn += p * k
+        return ms
 
 
 def next_uniform(src: BitSource, p: int = DEFAULT_PRECISION) -> UniformVariate:

@@ -277,6 +277,20 @@ class TestVerify:
         assert var_check["expected"] == 8.0
         assert abs(payload["moments"]["variance"] - 8.0) <= 0.24
 
+    @pytest.mark.parametrize(
+        "extra,uniforms,bits",
+        [([], 2000, 106_000),
+         (["--method", "secure-gaussian", "--n", "8"], 32_000, 1_696_000)],
+    )
+    def test_cost_reported(self, extra, uniforms, bits, capsys):
+        _, out, _ = run_cli(["verify", "--seed", "2006", "--count", "2000", *extra], capsys)
+        assert json.loads(out)["cost"] == {"uniforms_drawn": uniforms, "bits_drawn": bits}
+
+    def test_cost_left_out_of_csv(self, capsys):
+        _, out, _ = run_cli(
+            ["verify", "--seed", "2006", "--count", "100", "--format", "csv"], capsys)
+        assert "cost" not in out and "uniforms_drawn" not in out
+
     def test_moments_reported(self, capsys):
         _, out, _ = run_cli(["verify", "--seed", "2005", "--count", "5000"], capsys)
         m = json.loads(out)["moments"]
@@ -291,6 +305,7 @@ class TestVerify:
             ["verify", "--epsilon", "nan", "--count", "100"],
             ["verify", "--epsilon", "inf", "--count", "100"],
             ["verify", "--epsilon", "1e-320", "--count", "100"],
+            ["verify", "--epsilon", "1e-200", "--count", "1000", "--seed", "1"],
         ],
     )
     def test_usage_errors(self, argv, capsys):

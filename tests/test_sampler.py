@@ -6,18 +6,21 @@ output distribution at moderate sample sizes with fixed seeds.
 """
 
 import math
+import struct
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divsamp import sampler as sampler_mod
 from divsamp.dist import gaussian_cdf, laplace_cdf
 from divsamp.sampler import (
     DEFAULT_DIVISIBILITY,
+    DRAW_BATCH_UNIFORMS,
     GaussianStream,
     SamplerMethod,
     bm_cos,
+    bm_pair,
     bm_radius,
     bm_sin,
     get_method,
@@ -27,12 +30,13 @@ from divsamp.sampler import (
     laplace_sqsum,
     method_names,
     naive_laplace,
+    naive_laplace_from_numerator,
     naive_laplace_from_variate,
     secure_gaussian,
     symmetric_cos,
 )
 from divsamp.stats import ks_critical_value, ks_statistic
-from divsamp.urand import BitSource, UniformVariate
+from divsamp.urand import BitSource, EntropyError, UniformVariate
 
 from conftest import ScriptedSource
 
@@ -77,6 +81,11 @@ class TestNaiveLaplace:
 
 
 class TestBoxMullerMaps:
+    @given(st.integers(0, 2**53 - 1), st.integers(0, 2**53 - 1))
+    def test_pair_matches_branches(self, m1, m2):
+        u1, u2 = math.ldexp(m1, -53), math.ldexp(m2, -53)
+        assert bm_pair(u1, u2) == (bm_cos(u1, u2), bm_sin(u1, u2))
+
     def test_radius_one_point(self):
         # 1 - u1 == e**-0.5 makes the radial factor exactly 1
         u1 = 1.0 - math.exp(-0.5)
@@ -141,6 +150,17 @@ class TestSecureGaussian:
         for _ in range(2 * n):
             total += stream.next()
         assert out == total / math.sqrt(2 * n)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_successive_draws_match_stream_sums(self, n):
+        # a fresh stream per draw, summed output by output in stream order
+        src, ref = BitSource(seed=22), BitSource(seed=22)
+        for _ in range(200):
+            stream = GaussianStream(ref, 53)
+            total = 0.0
+            for _ in range(2 * n):
+                total += stream.next()
+            assert secure_gaussian(src, 53, n) == total / math.sqrt(2 * n)
 
     def test_no_cache_leaks_between_calls(self):
         # each call starts a fresh stream: the same source position yields
@@ -322,3 +342,94 @@ class TestMethodRegistry:
         m = get_method("secure-gaussian", 2)
         assert isinstance(m, SamplerMethod)
         assert (m.family, m.hardening) == ("gaussian", "divisible")
+
+
+DIVISIBLE = ("laplace-sqsum", "laplace-proddiff", "secure-gaussian")
+
+
+def _bits(xs):
+    return [struct.pack("<d", x) for x in xs]
+
+
+def _scalar_then_bulk(method, p, seed, count):
+    """Draw ``count`` values both ways from twin sources; return both and the sources."""
+    scalar_src, bulk_src = BitSource(seed=seed), BitSource(seed=seed)
+    drawer = method.make_drawer(scalar_src, p)
+    scalar = [drawer() for _ in range(count)]
+    bulk = method.draw(bulk_src, p, count)
+    return scalar, bulk, scalar_src, bulk_src
+
+
+class TestBulkDraw:
+    """``SamplerMethod.draw`` against ``count`` calls of the scalar drawer."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(method_names()),
+        n=st.integers(1, 8),
+        p=st.integers(1, 53),
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(0, 40),
+    )
+    def test_bit_identical_to_scalar_drawer(self, name, n, p, seed, count):
+        method = get_method(name, n if name in DIVISIBLE else None)
+        scalar, bulk, scalar_src, bulk_src = _scalar_then_bulk(method, p, seed, count)
+        assert _bits(bulk) == _bits(scalar)
+        assert bulk_src.uniforms_drawn == scalar_src.uniforms_drawn
+        assert bulk_src.bits_drawn == scalar_src.bits_drawn
+        assert bulk_src.getrandbits(40) == scalar_src.getrandbits(40)
+
+    @pytest.mark.parametrize("name", method_names())
+    def test_across_batches_with_odd_count(self, name):
+        method = get_method(name)
+        # three batches and then some, ending on an odd count
+        count = 3 * DRAW_BATCH_UNIFORMS // method.uniforms_per_draw + 5
+        scalar, bulk, scalar_src, bulk_src = _scalar_then_bulk(method, 53, 808, count)
+        assert _bits(bulk) == _bits(scalar)
+        assert (bulk_src.uniforms_drawn, bulk_src.bits_drawn) == (
+            scalar_src.uniforms_drawn, scalar_src.bits_drawn)
+        assert bulk_src.getrandbits(40) == scalar_src.getrandbits(40)
+
+    def test_box_muller_odd_count_spends_whole_pair(self):
+        src = BitSource(seed=9)
+        assert len(get_method("box-muller").draw(src, 53, 3)) == 3
+        assert src.uniforms_drawn == 4
+
+    def test_replays_scripted_source(self):
+        src = ScriptedSource([1, 0, 255], 8)
+        assert get_method("naive-laplace").draw(src, 8, 3) == [
+            naive_laplace_from_numerator(m, 8) for m in (1, 0, 255)]
+        assert (src.uniforms_drawn, src.bits_drawn) == (3, 24)
+
+    def test_scripted_source_checks_precision(self):
+        with pytest.raises(AssertionError, match="script written for p=8"):
+            get_method("naive-laplace").draw(ScriptedSource([1], 8), 9, 1)
+
+    @pytest.mark.parametrize("name", method_names())
+    def test_secure_source(self, name):
+        method = get_method(name)
+        src = BitSource()
+        xs = method.draw(src, 53, 7)
+        assert len(xs) == 7 and all(math.isfinite(x) for x in xs)
+        uniforms = method.uniforms_per_draw * (8 if name == "box-muller" else 7)
+        assert (src.uniforms_drawn, src.bits_drawn) == (uniforms, 53 * uniforms)
+
+    def test_secure_entropy_failure(self, monkeypatch):
+        class Failing:
+            def getrandbits(self, k):
+                raise OSError("entropy pool gone")
+
+        src = BitSource()
+        monkeypatch.setattr(src, "_rng", Failing())
+        with pytest.raises(EntropyError):
+            get_method("laplace-logcos").draw(src, 53, 2)
+
+    def test_method_without_kernel_calls_its_drawer(self):
+        outputs = iter([1.5, -2.0, 0.25])
+        stub = SamplerMethod("stub", "laplace", "naive", 1, lambda src, p: lambda: next(outputs))
+        assert stub.draw(BitSource(seed=0), 8, 3) == [1.5, -2.0, 0.25]
+
+    @pytest.mark.parametrize("p,count", [(0, 1), (54, 1), (53, -1), (53, 2.0), (53, True)])
+    def test_bad_arguments(self, p, count):
+        with pytest.raises(ValueError):
+            get_method("naive-laplace").draw(BitSource(seed=1), p, count)

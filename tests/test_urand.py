@@ -1,6 +1,7 @@
 """Tests for grid uniforms, bit sources, and grid rounding."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from divsamp.urand import (
     BitSource,
+    EntropyError,
     UniformVariate,
     neighbors,
     next_uniform,
@@ -71,6 +73,52 @@ class TestBitSource:
             next_uniform(src, 11)
         assert src.uniforms_drawn == 7
         assert src.bits_drawn == 77
+
+
+class _FailingEntropy:
+    def getrandbits(self, k):
+        raise OSError("entropy pool gone")
+
+
+class TestNumerators:
+    @pytest.mark.parametrize("p", [1, 8, 31, 32, 33, 52, 53])
+    @pytest.mark.parametrize("k", [1, 2, 5, 1000])
+    def test_matches_successive_getrandbits(self, p, k):
+        src = BitSource(seed=7_000 + p)
+        ref = random.Random(7_000 + p)
+        assert src.numerators(p, k) == [ref.getrandbits(p) for _ in range(k)]
+        assert src.uniforms_drawn == k
+        assert src.bits_drawn == p * k
+        # the generator is left where k scalar draws leave it
+        assert src.getrandbits(40) == ref.getrandbits(40)
+
+    def test_matches_next_uniform(self):
+        a, b = BitSource(seed=3), BitSource(seed=3)
+        assert a.numerators(20, 9) == [next_uniform(b, 20).m for _ in range(9)]
+        assert (a.uniforms_drawn, a.bits_drawn) == (b.uniforms_drawn, b.bits_drawn)
+
+    def test_zero_count(self):
+        src = BitSource(seed=1)
+        assert src.numerators(53, 0) == []
+        assert src.getrandbits(40) == random.Random(1).getrandbits(40)
+        assert (src.uniforms_drawn, src.bits_drawn) == (0, 0)
+
+    def test_secure_source_counts_exactly(self):
+        src = BitSource()
+        ms = src.numerators(12, 50)
+        assert len(ms) == 50 and all(0 <= m < 1 << 12 for m in ms)
+        assert (src.uniforms_drawn, src.bits_drawn) == (50, 600)
+
+    def test_secure_failure_raises_entropy_error(self, monkeypatch):
+        src = BitSource()
+        monkeypatch.setattr(src, "_rng", _FailingEntropy())
+        with pytest.raises(EntropyError):
+            src.numerators(53, 3)
+
+    @pytest.mark.parametrize("p,k", [(0, 1), (54, 1), (8, -1), (8, 2.0), (8, True)])
+    def test_bad_arguments(self, p, k):
+        with pytest.raises(ValueError):
+            BitSource(seed=1).numerators(p, k)
 
 
 class TestUniformity:
