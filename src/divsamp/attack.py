@@ -229,11 +229,14 @@ def _pair_survives(
         # Only the zero-radius grid point reproduces an exact (0, 0) pair.
         return c + scale * bm_cos(0.0, 0.0) == q1 and c + scale * bm_sin(0.0, 0.0) == q2
     u1, u2 = invert_box_muller(n1, n2)
-    angles = [math.ldexp(m2, -p) for m2 in grid_window(grid_round(u2, p), p, w)]
+    # bm_cos and bm_sin factored by grid point: one radius per u1 and one
+    # cosine per u2, combined by the same IEEE operations in the same order.
+    angles = [TWO_PI * math.ldexp(m2, -p) for m2 in grid_window(grid_round(u2, p), p, w)]
+    trig = [(math.cos(angle), angle) for angle in angles]
     for m1 in grid_window(grid_round(u1, p), p, w):
-        av = math.ldexp(m1, -p)
-        for bv in angles:
-            if c + scale * bm_cos(av, bv) == q1 and c + scale * bm_sin(av, bv) == q2:
+        r = bm_radius(math.ldexp(m1, -p))
+        for cos_angle, angle in trig:
+            if c + scale * (r * cos_angle) == q1 and c + scale * (r * math.sin(angle)) == q2:
                 return True
     return False
 
@@ -337,6 +340,9 @@ def brute_force_single_gaussian(
         raise ValueError(f"window must be non-negative, got {w}")
 
     size = 1 << p
+    # Wider windows reach no further grid points: start is already 0, and
+    # every angle window then covers [0, size).
+    w = min(w, size)
     top = size - 1
     pairs: list[tuple[UniformVariate, UniformVariate]] = []
     checks = 0

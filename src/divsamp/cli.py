@@ -13,6 +13,7 @@ rendered with Python's shortest round-trip representation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -104,6 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: every add_argument call constructs a help
+    # formatter, which queries the terminal size.  Shared by every main()
+    # call, so nothing may mutate it (no set_defaults, no added arguments).
+    return build_parser()
+
+
 def _fail(parser: argparse.ArgumentParser, message: str) -> None:
     parser.error(message)  # exits with code 2
 
@@ -115,6 +124,15 @@ def _resolve_method(parser, args):
         _fail(parser, str(exc))
 
 
+def _draw_bound(method) -> float:
+    # Every grid uniform has 1 - u >= 2**-53, so -log(1 - u) <= L = 53 ln 2,
+    # and a unit-scale draw that combines U uniforms is at most U * L in
+    # magnitude (logcos reaches 2L from U = 4; sqsum and proddiff over
+    # 2m-fold Gaussians, each output at most sqrt(2m * 2L), reach U L / 2
+    # and U L from U = 8m).
+    return method.uniforms_per_draw * 53 * math.log(2.0)
+
+
 def _noise_scale(parser, args, method) -> float:
     if args.epsilon is None:
         return 1.0
@@ -123,7 +141,12 @@ def _noise_scale(parser, args, method) -> float:
                       f"got {args.epsilon}")
     if method.family != "laplace":
         _fail(parser, "epsilon scaling applies to Laplace-family methods only")
-    return 1.0 / args.epsilon
+    scale = 1.0 / args.epsilon
+    bound = _draw_bound(method)
+    if not math.isfinite(scale * bound):
+        _fail(parser, f"epsilon {args.epsilon} is too small for finite {method.name} noise; "
+                      f"it must be at least {bound / sys.float_info.max:.3g}")
+    return scale
 
 
 def _emit(args, payload: dict, csv_rows: tuple[list[str], list[list]] | None) -> None:
@@ -252,16 +275,11 @@ def _run_verify(parser, args) -> int:
         _fail(parser, f"verification needs at least 4 draws, got {args.count}")
     method = _resolve_method(parser, args)
     scale = _noise_scale(parser, args, method)
-    # Every grid uniform has 1 - u >= 2**-53, so -log(1 - u) <= L = 53 ln 2,
-    # and a unit-scale draw that combines U uniforms is at most U * L in
-    # magnitude (logcos reaches 2L from U = 4; sqsum and proddiff over
-    # 2m-fold Gaussians, each output at most sqrt(2m * 2L), reach U L / 2
-    # and U L from U = 8m).  Deviations from the sample mean are then at
-    # most 2 U L scale, and the fourth-moment sum over ``count`` draws is
-    # the first quantity to overflow; it stays finite while
-    # count * (2 U L scale)**4 does.
-    max_scale = (sys.float_info.max / args.count) ** 0.25 / (
-        2 * method.uniforms_per_draw * 53 * math.log(2.0))
+    # Deviations from the sample mean are at most 2 * bound * scale, with
+    # bound = _draw_bound(method), and the fourth-moment sum over ``count``
+    # draws is the first quantity to overflow; it stays finite while
+    # count * (2 * bound * scale)**4 does.
+    max_scale = (sys.float_info.max / args.count) ** 0.25 / (2 * _draw_bound(method))
     if scale > max_scale:
         _fail(parser, f"epsilon {args.epsilon} is too small for finite moments over "
                       f"{args.count} {method.name} draws; it must be at least {1 / max_scale:.3g}")
@@ -366,7 +384,7 @@ def _run_complexity(parser, args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if not 1 <= args.p <= MAX_PRECISION:
         _fail(parser, f"precision must be in [1, {MAX_PRECISION}], got {args.p}")

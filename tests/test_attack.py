@@ -341,6 +341,42 @@ class TestSurvivalChecksAgainstVariateReference:
         )
 
 
+class TestTrueCandidateSurvives:
+    """The target behind a query built by the assumed sampler is never eliminated.
+
+    Any precision, any finite target, any positive finite scale and any grid
+    numerators, at the default windows; only queries that overflow are
+    skipped.
+    """
+
+    @staticmethod
+    def _setting(data):
+        p = data.draw(st.integers(min_value=1, max_value=53), label="p")
+        c = data.draw(finite, label="c")
+        scale = data.draw(
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), label="scale"
+        )
+        return p, c, scale, st.integers(min_value=0, max_value=(1 << p) - 1)
+
+    @given(st.data())
+    @settings(max_examples=500)
+    def test_laplace(self, data):
+        p, c, scale, grid = self._setting(data)
+        q = c + scale * naive_laplace_from_numerator(data.draw(grid, label="m"), p)
+        assume(math.isfinite(q))
+        assert _laplace_survives(q, c, p, DEFAULT_WINDOW, scale)
+
+    @given(st.data())
+    @settings(max_examples=500)
+    def test_pair(self, data):
+        p, c, scale, grid = self._setting(data)
+        u1 = math.ldexp(data.draw(grid, label="m1"), -p)
+        u2 = math.ldexp(data.draw(grid, label="m2"), -p)
+        q1, q2 = c + scale * bm_cos(u1, u2), c + scale * bm_sin(u1, u2)
+        assume(math.isfinite(q1) and math.isfinite(q2))
+        assert _pair_survives(q1, q2, c, p, DEFAULT_PAIR_WINDOW, scale)
+
+
 class TestCountFeasible:
     def test_example_values(self):
         assert count_feasible_checks(0.0, 8) == 256
@@ -444,6 +480,16 @@ class TestBruteForce:
     def test_rejects_negative_window(self):
         with pytest.raises(ValueError):
             brute_force_single_gaussian(1.0, 8, w=-1)
+
+    def test_huge_window_clamped_to_grid(self):
+        # a window of 2**p already covers the whole grid; a wider one must
+        # return the same result without walking the extra numerators
+        rng = random.Random(4242)
+        for n1 in (bm_cos(rng.random(), rng.random()) for _ in range(5)):
+            full = brute_force_single_gaussian(n1, 8, w=256)
+            huge = brute_force_single_gaussian(n1, 8, w=10**12)
+            assert huge.pairs == full.pairs
+            assert huge.checks == full.checks
 
     def test_checks_scale_with_precision(self):
         # each added bit of precision roughly doubles the examined window

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import divsamp
-from divsamp.cli import EXIT_FAIL, EXIT_OK, main
+from divsamp.cli import EXIT_FAIL, EXIT_OK, build_parser, main
 
 DATA = Path(__file__).parent / "data"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -31,6 +31,14 @@ GOLDEN_ARGV = ["sample", "--method", "naive-laplace", "--p", "53",
                "--seed", "42", "--count", "3"]
 DEFENDED_ARGV = ["attack", "--method", "laplace-logcos", "--seed", "1003",
                  "--candidates", "0.0,1.0", "--max-queries", "40"]
+# attack reports pinned byte for byte: golden file name -> argv
+GOLDEN_ATTACKS = {
+    "attack_mironov_seed1.json": ["attack", "--seed", "1"],
+    "attack_pair_box_muller_seed1.json": [
+        "attack", "--attack", "gaussian-pair", "--method", "box-muller",
+        "--candidates", "0.0,1.0", "--seed", "1",
+    ],
+}
 
 # what an installer's console-script wrapper does, with the entry point's
 # value passed as the first argument instead of baked in
@@ -127,6 +135,8 @@ class TestSample:
             ["sample", "--epsilon", "nan"],
             ["sample", "--epsilon", "inf"],
             ["sample", "--epsilon", "1e-320"],
+            ["sample", "--method", "laplace-logcos", "--epsilon", "1e-308",
+             "--seed", "1", "--count", "200"],
         ],
     )
     def test_usage_errors(self, argv, capsys):
@@ -137,6 +147,12 @@ class TestSample:
 
 
 class TestAttack:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ATTACKS))
+    def test_matches_golden_file(self, name, capsys):
+        code, out, _ = run_cli(GOLDEN_ATTACKS[name], capsys)
+        assert code == EXIT_OK
+        assert out == (DATA / name).read_text()
+
     def test_mironov_identifies_naive_target(self, capsys):
         code, out, _ = run_cli(
             ["attack", "--seed", "1001", "--candidates", "0.0,1.0,2.0",
@@ -226,6 +242,7 @@ class TestAttack:
             ["attack", "--epsilon", "nan", "--seed", "1"],
             ["attack", "--epsilon", "inf", "--seed", "1"],
             ["attack", "--epsilon", "1e-320", "--seed", "1"],
+            ["attack", "--epsilon", "1e-308", "--seed", "1"],
         ],
     )
     def test_usage_errors(self, argv, capsys):
@@ -371,6 +388,26 @@ class TestTopLevel:
         code, _, err = run_cli([], capsys)
         assert code == 2
         assert err != ""
+
+    def test_main_is_reentrant(self, capsys):
+        # main() parses with one parser per process; no call may leave an
+        # option, a default or an error message behind for the next one
+        bad = ["attack", "--window", "-1"]
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        _, first_err = capsys.readouterr()
+        assert first_err != ""
+        _, out, _ = run_cli(["attack", "--window", "3"], capsys)
+        assert json.loads(out)["window"] == 3
+        _, out, _ = run_cli(["attack"], capsys)
+        assert json.loads(out)["window"] == 2
+        assert json.loads(out)["seed"] is None
+        code, out, _ = run_cli(GOLDEN_ARGV, capsys)
+        assert code == EXIT_OK
+        assert out == (DATA / "sample_naive_seed42.json").read_text()
+        assert run_cli(bad, capsys) == (2, "", first_err)
+        assert build_parser() is not build_parser()
 
     def test_entry_point_installed(self):
         tomllib = pytest.importorskip("tomllib")
