@@ -56,6 +56,7 @@ from .stats import (
     distinct_output_count,
     empirical_cdf,
     ks_critical_value,
+    ks_p_value,
     ks_statistic,
     moments,
 )
@@ -98,6 +99,7 @@ __all__ = [
     "get_method",
     "invert_box_muller",
     "ks_critical_value",
+    "ks_p_value",
     "ks_statistic",
     "laplace_cdf",
     "laplace_expdiff",

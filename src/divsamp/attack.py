@@ -35,11 +35,19 @@ from .urand import DEFAULT_PRECISION, UniformVariate, check_precision, grid_roun
 DEFAULT_WINDOW = 2
 DEFAULT_PAIR_WINDOW = 4
 BRUTE_FORCE_MAX_PRECISION = 20
+# A survival check evaluates the forward map once per grid point of its
+# window: 2w+1 points for Mironov, (2w+1)**2 pairs for the pair check, that
+# is (2w+1)**arity.  At about 1 us per evaluation, this cap keeps one check
+# under a tenth of a second: w <= 32767 for Mironov, w <= 127 for the pair
+# attack.  At p=53 no clamp to the grid helps, so a larger window would run
+# for hours; it is rejected before the first query instead.
+MAX_CHECK_EVALUATIONS = 2**16
 
 __all__ = [
     "DEFAULT_WINDOW",
     "DEFAULT_PAIR_WINDOW",
     "BRUTE_FORCE_MAX_PRECISION",
+    "MAX_CHECK_EVALUATIONS",
     "QueryOracle",
     "PhaseAlignmentError",
     "AttackOutcome",
@@ -100,13 +108,17 @@ class AttackOutcome:
 
 
 def _campaign_candidates(
-    candidates, p: int, w: int, max_queries: int, scale: float
+    candidates, p: int, w: int, arity: int, max_queries: int, scale: float
 ) -> list[float]:
     # The one boundary check of both attacks: everything is rejected here,
     # before the first query, so the survival checks run unvalidated.
     check_precision(p)
     if w < 0:
         raise ValueError(f"window must be non-negative, got {w}")
+    if (2 * w + 1) ** arity > MAX_CHECK_EVALUATIONS:
+        raise ValueError(f"window {w} is too large: a survival check would evaluate "
+                         f"{(2 * w + 1) ** arity} grid points, more than "
+                         f"{MAX_CHECK_EVALUATIONS}")
     if not (scale > 0 and math.isfinite(scale)):
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
     if max_queries < 0:
@@ -194,7 +206,7 @@ def mironov_attack(
     Raises:
         ValueError: for any invalid argument, before the first query.
     """
-    cands = _campaign_candidates(candidates, p, w, max_queries, scale)
+    cands = _campaign_candidates(candidates, p, w, 1, max_queries, scale)
     return _eliminate(
         oracle, cands, 1, lambda q, c: _laplace_survives(q, c, p, w, scale), max_queries
     )
@@ -265,7 +277,7 @@ def gaussian_pair_attack(
         ValueError: for any invalid argument, before the first query.
         PhaseAlignmentError: if the oracle's stream starts mid-pair.
     """
-    cands = _campaign_candidates(candidates, p, w, max_queries, scale)
+    cands = _campaign_candidates(candidates, p, w, 2, max_queries, scale)
     if oracle.stream is not None and oracle.stream.phase != "empty":
         raise PhaseAlignmentError(
             "oracle stream holds a cached output; pair alignment would be off by one"

@@ -224,9 +224,7 @@ def _run_attack(parser, args) -> int:
         w = attack_mod.DEFAULT_WINDOW if args.window is None else args.window
         drawer = method.make_drawer(src, args.p)
         oracle = attack_mod.QueryOracle(target, lambda: scale * drawer())
-        outcome = attack_mod.mironov_attack(
-            oracle, candidates, p=args.p, w=w, max_queries=args.max_queries, scale=scale
-        )
+        campaign = attack_mod.mironov_attack
     else:
         if method.family != "gaussian":
             _fail(parser, "the pair attack applies to Gaussian-family noise")
@@ -238,9 +236,13 @@ def _run_attack(parser, args) -> int:
         else:
             drawer = method.make_drawer(src, args.p)
         oracle = attack_mod.QueryOracle(target, lambda: scale * drawer(), stream=stream)
-        outcome = attack_mod.gaussian_pair_attack(
+        campaign = attack_mod.gaussian_pair_attack
+    try:
+        outcome = campaign(
             oracle, candidates, p=args.p, w=w, max_queries=args.max_queries, scale=scale
         )
+    except ValueError as exc:  # raised before the first query: too large a window
+        _fail(parser, str(exc))
 
     payload = {
         "command": "attack",
@@ -288,12 +290,14 @@ def _run_verify(parser, args) -> int:
     values = [scale * x for x in method.draw(src, args.p, args.count)]
 
     if reference == "laplace":
-        cdf = lambda x: dist.laplace_cdf(x / scale)  # noqa: E731
+        # KS against laplace_cdf(x / scale): dividing by scale > 0 keeps the
+        # order, so the samples may be divided first, and ks_statistic then
+        # evaluates dist.laplace_cdf itself on a column
+        stat = stats.ks_statistic([x / scale for x in values], dist.laplace_cdf)
         ref_variance = 2.0 * scale * scale
     else:
-        cdf = dist.gaussian_cdf
+        stat = stats.ks_statistic(values, dist.gaussian_cdf)
         ref_variance = 1.0
-    stat = stats.ks_statistic(values, cdf)
     critical = float(stats.ks_critical_value(args.count, 0.01))
     summary = stats.moments(values)
     ks_pass = stat < critical
@@ -315,6 +319,8 @@ def _run_verify(parser, args) -> int:
                 "critical_value": critical,
                 "alpha": 0.01,
                 "pass": ks_pass,
+                "margin": critical - stat,
+                "p_value": stats.ks_p_value(stat, args.count),
             },
             {
                 "name": "variance",

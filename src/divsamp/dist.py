@@ -174,7 +174,14 @@ def laplace_inverse_cdf(u: float) -> float:
     """
     if not 0.0 < u < 1.0:
         raise ValueError(f"quantile argument must lie in (0, 1), got {u!r}")
-    return (-1.0) ** round(u) * math.log(1.0 - 2.0 * abs(u - 0.5))
+    return _laplace_quantile(u, math)
+
+
+def _laplace_quantile(u, lm):
+    # (-1)**round(u) is written 1 - 2 [u > 1/2]: the same +-1.0 on (0, 1),
+    # where round-half-to-even sends 0.5 to 0, and a form that numpy also
+    # evaluates over a column (``lm`` is math or columns.COLUMN_MATH)
+    return (1.0 - 2.0 * (u > 0.5)) * lm.log(1.0 - 2.0 * abs(u - 0.5))
 
 
 def gaussian_cdf(x: float) -> float:

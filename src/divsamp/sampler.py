@@ -14,12 +14,15 @@ The forward Box-Muller maps are factored out as :func:`bm_cos` /
 bit-identical arithmetic.
 
 Each method's arithmetic is written once, as a *kernel*: a function of
-``(take, p)`` that pulls the grid numerators of one output, in draw order,
-from the zero-argument ``take`` and returns that output (the Box-Muller
-pair kernel returns both halves of the pair).  The scalar samplers feed a
-kernel from :func:`next_uniform`; :meth:`SamplerMethod.draw` feeds it from
-:meth:`BitSource.numerators` batches.  Only the source of the numerators
-differs, so both paths give the same bits.
+``(take, p, lm)`` that pulls the grid numerators of one output, in draw
+order, from the zero-argument ``take`` and returns that output (the
+Box-Muller pair kernel returns both halves of the pair), calling
+``log``, ``cos``, ``sin``, ``sqrt`` and ``ldexp`` on the namespace ``lm``.
+The scalar samplers feed a kernel single numerators, with ``lm = math``.
+:meth:`SamplerMethod.draw` feeds it numpy columns of numerators, one
+element per output, with ``lm =`` :data:`~divsamp.columns.COLUMN_MATH`.
+Sign selections are written ``1 - 2 [condition]``, which Python and
+numpy evaluate alike, so both paths give the same bits.
 """
 
 from __future__ import annotations
@@ -29,7 +32,10 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from .dist import laplace_inverse_cdf
+import numpy as np
+
+from .columns import COLUMN_MATH
+from .dist import _laplace_quantile
 from .urand import BitSource, DEFAULT_PRECISION, UniformVariate, check_precision, next_uniform
 
 DEFAULT_DIVISIBILITY = 4
@@ -62,7 +68,7 @@ __all__ = [
 ]
 
 _Take = Callable[[], int]
-_Kernel = Callable[[_Take, int], float]
+_Kernel = Callable[[_Take, int, object], float]
 
 
 def _scalar_take(src: BitSource, p: int) -> _Take:
@@ -85,7 +91,12 @@ def naive_laplace_from_numerator(m: int, p: int) -> float:
     probability ``2**-p`` event) so the logarithm never sees zero.  Attack
     code re-evaluates exactly this transform when it checks a grid point.
     """
-    return laplace_inverse_cdf(math.ldexp(m or 1, -p))
+    return _naive_laplace(m, p, math)
+
+
+def _naive_laplace(m, p: int, lm):
+    # m + (m == 0) is ``m or 1`` in a form numpy also evaluates per element
+    return _laplace_quantile(lm.ldexp(m + (m == 0), -p), lm)
 
 
 def naive_laplace_from_variate(u: UniformVariate) -> float:
@@ -105,13 +116,17 @@ def naive_laplace(src: BitSource, p: int = DEFAULT_PRECISION) -> float:
     return naive_laplace_from_variate(next_uniform(src, p))
 
 
-def _naive_kernel(take: _Take, p: int) -> float:
-    return naive_laplace_from_numerator(take(), p)
+def _naive_kernel(take: _Take, p: int, lm) -> float:
+    return _naive_laplace(take(), p, lm)
 
 
 def bm_radius(u1: float) -> float:
     """Box-Muller radial factor ``sqrt(-2 log(1 - u1))``."""
-    return math.sqrt(-2.0 * math.log(1.0 - u1))
+    return _bm_radius(u1, math)
+
+
+def _bm_radius(u1, lm):
+    return lm.sqrt(-2.0 * lm.log(1.0 - u1))
 
 
 def bm_cos(u1: float, u2: float) -> float:
@@ -126,24 +141,29 @@ def bm_sin(u1: float, u2: float) -> float:
 
 def bm_pair(u1: float, u2: float) -> tuple[float, float]:
     """``(bm_cos(u1, u2), bm_sin(u1, u2))`` with the radial factor computed once."""
-    r = bm_radius(u1)
-    return r * math.cos(TWO_PI * u2), r * math.sin(TWO_PI * u2)
+    return _bm_pair(u1, u2, math)
 
 
-def _bm_pair_kernel(take: _Take, p: int) -> tuple[float, float]:
-    u1 = math.ldexp(take(), -p)
-    return bm_pair(u1, math.ldexp(take(), -p))
+def _bm_pair(u1, u2, lm):
+    r = _bm_radius(u1, lm)
+    angle = TWO_PI * u2
+    return r * lm.cos(angle), r * lm.sin(angle)
 
 
-def _gaussian_sum_kernel(take: _Take, p: int, n: int) -> float:
+def _bm_pair_kernel(take: _Take, p: int, lm) -> tuple[float, float]:
+    u1 = lm.ldexp(take(), -p)
+    return _bm_pair(u1, lm.ldexp(take(), -p), lm)
+
+
+def _gaussian_sum_kernel(take: _Take, p: int, lm, n: int) -> float:
     # both halves of n pairs, added one at a time in stream order: the
     # rounding of each addition is part of the seeded output
     total = 0.0
     for _ in range(n):
-        first, second = _bm_pair_kernel(take, p)
+        first, second = _bm_pair_kernel(take, p, lm)
         total += first
         total += second
-    return total / math.sqrt(2 * n)
+    return total / lm.sqrt(2 * n)
 
 
 class GaussianStream:
@@ -173,7 +193,7 @@ class GaussianStream:
             out = self._cache
             self._cache = None
             return out
-        first, self._cache = _bm_pair_kernel(_scalar_take(self.src, self.p), self.p)
+        first, self._cache = _bm_pair_kernel(_scalar_take(self.src, self.p), self.p, math)
         return first
 
 
@@ -190,12 +210,12 @@ def secure_gaussian(
     """
     _check_divisibility(n)
     check_precision(p)
-    return _gaussian_sum_kernel(_scalar_take(src, p), p, n)
+    return _gaussian_sum_kernel(_scalar_take(src, p), p, math, n)
 
 
-def _expdiff_kernel(take: _Take, p: int) -> float:
-    e1 = -math.log(1.0 - math.ldexp(take(), -p))
-    e2 = -math.log(1.0 - math.ldexp(take(), -p))
+def _expdiff_kernel(take: _Take, p: int, lm) -> float:
+    e1 = -lm.log(1.0 - lm.ldexp(take(), -p))
+    e2 = -lm.log(1.0 - lm.ldexp(take(), -p))
     return e1 - e2
 
 
@@ -204,7 +224,7 @@ def laplace_expdiff(src: BitSource, p: int = DEFAULT_PRECISION) -> float:
 
     Consumes two uniforms: ``(-log(1-U1)) - (-log(1-U2))``.
     """
-    return _expdiff_kernel(_scalar_take(src, p), p)
+    return _expdiff_kernel(_scalar_take(src, p), p, math)
 
 
 def _sqsum(n1: float, n2: float, n3: float, n4: float) -> float:
@@ -217,8 +237,8 @@ def _proddiff(n1: float, n2: float, n3: float, n4: float) -> float:
 
 def _four_gaussians_kernel(combine: Callable[..., float], m: int) -> _Kernel:
     """Kernel applying ``combine`` to four divisibility-``m`` Gaussian sums."""
-    def kernel(take: _Take, p: int) -> float:
-        return combine(*[_gaussian_sum_kernel(take, p, m) for _ in range(4)])
+    def kernel(take: _Take, p: int, lm) -> float:
+        return combine(*[_gaussian_sum_kernel(take, p, lm, m) for _ in range(4)])
     return kernel
 
 
@@ -229,7 +249,9 @@ def laplace_sqsum(src: BitSource, p: int = DEFAULT_PRECISION, m: int = 1) -> flo
     :func:`secure_gaussian` with divisibility ``m``, so one output consumes
     ``8 m`` uniforms.
     """
-    return _sqsum(*[secure_gaussian(src, p, m) for _ in range(4)])
+    _check_divisibility(m)
+    check_precision(p)
+    return _four_gaussians_kernel(_sqsum, m)(_scalar_take(src, p), p, math)
 
 
 def laplace_proddiff(src: BitSource, p: int = DEFAULT_PRECISION, m: int = 1) -> float:
@@ -238,17 +260,20 @@ def laplace_proddiff(src: BitSource, p: int = DEFAULT_PRECISION, m: int = 1) -> 
     As with :func:`laplace_sqsum`, each factor is a divisibility-``m``
     secure Gaussian, for ``8 m`` uniforms per output.
     """
-    return _proddiff(*[secure_gaussian(src, p, m) for _ in range(4)])
+    _check_divisibility(m)
+    check_precision(p)
+    return _four_gaussians_kernel(_proddiff, m)(_scalar_take(src, p), p, math)
 
 
-def _symmetric_cos(m: int, p: int) -> float:
+def _symmetric_cos(m, p: int, lm):
     half = 1 << (p - 1)
-    c = math.cos(math.pi * math.ldexp(m & (half - 1), -p))
-    return -c if m & half else c
+    c = lm.cos(math.pi * lm.ldexp(m & (half - 1), -p))
+    # -c where the top bit is set; -1.0 * c is -c exactly
+    return (1.0 - 2.0 * (m >= half)) * c
 
 
-def _plain_cos(m: int, p: int) -> float:
-    return math.cos(math.pi * math.ldexp(m, -p))
+def _plain_cos(m, p: int, lm):
+    return lm.cos(math.pi * lm.ldexp(m, -p))
 
 
 def symmetric_cos(u: UniformVariate) -> float:
@@ -261,17 +286,17 @@ def symmetric_cos(u: UniformVariate) -> float:
     the sign symmetry that plain ``cos(pi * u)`` lacks over half-open
     uniforms.
     """
-    return _symmetric_cos(u.m, u.p)
+    return _symmetric_cos(u.m, u.p, math)
 
 
-def _logcos_kernel(cos_factor: Callable[[int, int], float]) -> _Kernel:
+def _logcos_kernel(cos_factor: Callable[..., float]) -> _Kernel:
     """Kernel for ``log(1-U1) c(U2) + log(1-U3) c(U4)`` with cosine factor ``c``."""
-    def kernel(take: _Take, p: int) -> float:
-        u1 = math.ldexp(take(), -p)
-        c2 = cos_factor(take(), p)
-        u3 = math.ldexp(take(), -p)
-        c4 = cos_factor(take(), p)
-        return math.log(1.0 - u1) * c2 + math.log(1.0 - u3) * c4
+    def kernel(take: _Take, p: int, lm) -> float:
+        u1 = lm.ldexp(take(), -p)
+        c2 = cos_factor(take(), p, lm)
+        u3 = lm.ldexp(take(), -p)
+        c4 = cos_factor(take(), p, lm)
+        return lm.log(1.0 - u1) * c2 + lm.log(1.0 - u3) * c4
     return kernel
 
 
@@ -291,12 +316,10 @@ def laplace_logcos(
     :func:`symmetric_cos`, which restores the ±symmetry lost to the
     half-open uniform range.  Consumes four uniforms either way.
     """
-    return (_LOGCOS_SYM if symmetric else _LOGCOS)(_scalar_take(src, p), p)
+    return (_LOGCOS_SYM if symmetric else _LOGCOS)(_scalar_take(src, p), p, math)
 
 
 # --- method registry ---------------------------------------------------------
-
-_DrawerFactory = Callable[[BitSource, int], Callable[[], float]]
 
 
 @dataclass(frozen=True)
@@ -310,51 +333,48 @@ class SamplerMethod:
     uniforms feed two consecutive outputs.
 
     ``_kernel`` is the method's arithmetic (see the module docstring),
-    returning ``_outputs`` values per call; a method built without one
-    draws in bulk by calling its drawer.
+    returning ``_outputs`` values per call: 1, or 2 for the Box-Muller
+    pair, whose drawer is a :class:`GaussianStream`.
     """
 
     name: str
     family: str  # "laplace" | "gaussian"
     hardening: str  # "naive" | "divisible"
     uniforms_per_draw: int
-    _factory: _DrawerFactory
-    _kernel: Callable[[_Take, int], object] | None = None
+    _kernel: Callable[[_Take, int, object], object]
     _outputs: int = 1
 
     def make_drawer(self, src: BitSource, p: int = DEFAULT_PRECISION) -> Callable[[], float]:
         """Bind the method to a bit source, returning a zero-argument drawer."""
         check_precision(p)
-        return self._factory(src, p)
+        if self._outputs == 1:
+            return partial(self._kernel, _scalar_take(src, p), p, math)
+        return GaussianStream(src, p).next
 
     def draw(self, src: BitSource, p: int = DEFAULT_PRECISION, count: int = 1) -> list[float]:
         """The values of ``count`` calls to ``make_drawer(src, p)()``, bit for bit.
 
         Leaves ``src``'s counters and generator exactly where those calls
         would.  Numerators come from :meth:`BitSource.numerators` in batches
-        of about :data:`DRAW_BATCH_UNIFORMS` uniforms, each fed through the
-        method's kernel.  Like the drawer, the Box-Muller stream evaluates
-        a whole pair for an odd last output and discards its second half.
+        of about :data:`DRAW_BATCH_UNIFORMS` uniforms.  A batch of ``k``
+        kernel calls is a ``(k, per_call)`` array, and the kernel runs once
+        over it, on :data:`~divsamp.columns.COLUMN_MATH`, taking one column
+        per ``take()``.  Like the drawer, the Box-Muller stream evaluates a
+        whole pair for an odd last output and discards its second half.
         """
         check_precision(p)
         if isinstance(count, bool) or not isinstance(count, int) or count < 0:
             raise ValueError(f"draw count must be a non-negative integer, got {count!r}")
-        if self._kernel is None:
-            drawer = self._factory(src, p)
-            return [drawer() for _ in range(count)]
-        kernel, outputs = self._kernel, self._outputs
-        per_call = self.uniforms_per_draw * outputs
-        calls = -(-count // outputs)
+        per_call = self.uniforms_per_draw * self._outputs
+        calls = -(-count // self._outputs)
         batch = max(1, DRAW_BATCH_UNIFORMS // per_call)
         values: list[float] = []
         for start in range(0, calls, batch):
             k = min(batch, calls - start)
-            take = iter(src.numerators(p, k * per_call)).__next__
-            if outputs == 1:
-                values += [kernel(take, p) for _ in range(k)]
-            else:
-                for _ in range(k):
-                    values += kernel(take, p)
+            grid = src.numerators(p, k * per_call).reshape(k, per_call)
+            out = self._kernel(iter(grid.T).__next__, p, COLUMN_MATH)
+            # a pair kernel's halves interleave in stream order
+            values += (np.column_stack(out).ravel() if self._outputs > 1 else out).tolist()
         del values[count:]
         return values
 
@@ -362,7 +382,7 @@ class SamplerMethod:
 # name -> (family, hardening, uniforms per draw per unit of divisibility,
 # default divisibility or None for methods without one, outputs per kernel
 # call, kernel for divisibility n).  Insertion order is registry order.
-_REGISTRY: dict[str, tuple[str, str, int, int | None, int, Callable[..., Callable]]] = {
+_REGISTRY: dict[str, tuple[str, str, int, int | None, int, Callable[..., _Kernel]]] = {
     "naive-laplace": ("laplace", "naive", 1, None, 1, lambda n: _naive_kernel),
     "box-muller": ("gaussian", "naive", 1, None, 2, lambda n: _bm_pair_kernel),
     "laplace-expdiff": ("laplace", "divisible", 2, None, 1, lambda n: _expdiff_kernel),
@@ -373,7 +393,7 @@ _REGISTRY: dict[str, tuple[str, str, int, int | None, int, Callable[..., Callabl
     "laplace-logcos": ("laplace", "divisible", 4, None, 1, lambda n: _LOGCOS),
     "laplace-logcos-sym": ("laplace", "divisible", 4, None, 1, lambda n: _LOGCOS_SYM),
     "secure-gaussian": ("gaussian", "divisible", 2, DEFAULT_DIVISIBILITY, 1,
-                        lambda n: lambda take, p: _gaussian_sum_kernel(take, p, n)),
+                        lambda n: lambda take, p, lm: _gaussian_sum_kernel(take, p, lm, n)),
 }
 
 
@@ -393,14 +413,7 @@ def get_method(name: str, n: int | None = None) -> SamplerMethod:
     if n is not None and default_n is None:
         raise ValueError(f"{name} takes no divisibility parameter")
     order = default_n if n is None else n
-    kernel = bind(order)
-    if outputs == 1:
-        factory = lambda src, p: partial(kernel, _scalar_take(src, p), p)  # noqa: E731
-    else:
-        factory = lambda src, p: GaussianStream(src, p).next  # noqa: E731
-    return SamplerMethod(
-        name, family, hardening, per_unit * (order or 1), factory, kernel, outputs
-    )
+    return SamplerMethod(name, family, hardening, per_unit * (order or 1), bind(order), outputs)
 
 
 def method_names() -> list[str]:

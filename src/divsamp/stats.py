@@ -9,12 +9,15 @@ the attack-facing analysis — a count of distinct representable outputs.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from . import columns
+from .dist import gaussian_cdf, laplace_cdf
 from .sampler import SamplerMethod
 from .urand import BitSource, check_precision
 
@@ -27,6 +30,7 @@ __all__ = [
     "KS_CRIT_001",
     "KS_CRIT_005",
     "ks_critical_value",
+    "ks_p_value",
     "ks_statistic",
     "empirical_cdf",
     "MomentSummary",
@@ -51,18 +55,48 @@ def ks_critical_value(n: int, alpha: float = 0.01) -> float:
     return c / np.sqrt(n)
 
 
+def ks_p_value(statistic: float, n: int) -> float:
+    """Asymptotic two-sided KS p-value: the Kolmogorov tail ``P(K > sqrt(n) D)``.
+
+    The large-``n`` approximation :func:`ks_critical_value` also uses, so a
+    critical value's p-value is close to its ``alpha``.  Four terms of
+    ``2 sum (-1)**(k-1) exp(-2 k**2 t**2)`` for ``t >= 1.18``, and of the
+    series ``1 - sqrt(2 pi) / t sum exp(-(2k-1)**2 pi**2 / (8 t**2))`` below.
+    """
+    if n < 1:
+        raise ValueError(f"sample count must be positive, got {n}")
+    t = math.sqrt(n) * statistic
+    if t <= 0.0:
+        return 1.0
+    if t < 1.18:
+        y = math.exp(-math.pi**2 / (8.0 * t * t))
+        p = 1.0 - math.sqrt(2.0 * math.pi) / t * (y + y**9 + y**25 + y**49)
+    else:
+        x = math.exp(-2.0 * t * t)
+        p = 2.0 * (x - x**4 + x**9 - x**16)
+    return min(max(p, 0.0), 1.0)
+
+
 def ks_statistic(samples, cdf: Callable[[float], float]) -> float:
     """Two-sided Kolmogorov-Smirnov statistic of ``samples`` against ``cdf``.
 
     Computes ``max(D+, D-)`` with ``D+ = max_i (i/n - F(x_(i)))`` and
     ``D- = max_i (F(x_(i)) - (i-1)/n)`` over the order statistics.  The
-    input need not be pre-sorted.
+    input need not be pre-sorted.  ``cdf`` is called once per sample, except
+    that :func:`divsamp.dist.laplace_cdf` and :func:`~divsamp.dist.gaussian_cdf`
+    are evaluated over the whole sorted sample by their
+    :mod:`divsamp.columns` forms, which give the same bits.
     """
     x = np.sort(np.asarray(list(samples), dtype=float))
     n = x.size
     if n == 0:
         raise ValueError("need at least one sample")
-    f = np.asarray([cdf(float(v)) for v in x])
+    if cdf is laplace_cdf:
+        f = columns.laplace_cdf(x)
+    elif cdf is gaussian_cdf:
+        f = columns.gaussian_cdf(x)
+    else:
+        f = np.asarray([cdf(float(v)) for v in x])
     i = np.arange(1, n + 1, dtype=float)
     d_plus = float(np.max(i / n - f))
     d_minus = float(np.max(f - (i - 1.0) / n))

@@ -121,7 +121,7 @@ class BitSource:
         except (NotImplementedError, OSError) as exc:
             raise EntropyError("system entropy source unavailable") from exc
 
-    def numerators(self, p: int, k: int) -> list[int]:
+    def numerators(self, p: int, k: int) -> np.ndarray:
         """The numerators of ``k`` successive :func:`next_uniform` calls at precision ``p``.
 
         Returns exactly what those calls would, advances both counters as
@@ -134,23 +134,23 @@ class BitSource:
         So one ``32 * k`` (or ``64 * k``) bit request holds the ``k``
         draws' words in order, and they are split out with numpy.  A secure
         source, or one whose ``getrandbits`` is overridden, is asked for
-        ``p`` bits per numerator, as the scalar path asks.
+        ``p`` bits per numerator, as the scalar path asks.  The numerators
+        come as a ``uint64`` array.
         """
         check_precision(p)
         if isinstance(k, bool) or not isinstance(k, int) or k < 0:
             raise ValueError(f"numerator count must be a non-negative integer, got {k!r}")
         if self.seed is None or type(self).getrandbits is not BitSource.getrandbits:
-            ms = [self.getrandbits(p) for _ in range(k)]
+            ms = np.array([self.getrandbits(p) for _ in range(k)], np.uint64)
         else:
             words_per_draw = 1 if p <= 32 else 2
             raw = self.getrandbits(32 * words_per_draw * k).to_bytes(
                 4 * words_per_draw * k, "little")
-            w = np.frombuffer(raw, dtype="<u4")
+            w = np.frombuffer(raw, dtype="<u4").astype(np.uint64)
             if p <= 32:
-                ms = (w >> (32 - p)).tolist()
+                ms = w >> (32 - p)
             else:
-                w = w.astype(np.uint64)
-                ms = (w[0::2] | (w[1::2] >> (64 - p)) << 32).tolist()
+                ms = w[0::2] | (w[1::2] >> (64 - p)) << 32
         self.uniforms_drawn += k
         self.bits_drawn += p * k
         return ms

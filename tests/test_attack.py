@@ -17,6 +17,7 @@ from divsamp.attack import (
     BRUTE_FORCE_MAX_PRECISION,
     DEFAULT_PAIR_WINDOW,
     DEFAULT_WINDOW,
+    MAX_CHECK_EVALUATIONS,
     AttackOutcome,
     BruteForceResult,
     PhaseAlignmentError,
@@ -54,6 +55,7 @@ BAD_CAMPAIGN_KWARGS = [
     {"max_queries": -5},
     {"candidates": [0.0, math.nan]},
     {"candidates": [math.inf, 1.0]},
+    {"w": 100_000_000},
 ]
 
 
@@ -505,6 +507,18 @@ class TestDefaults:
         assert DEFAULT_WINDOW == 2
         assert DEFAULT_PAIR_WINDOW == 4
         assert BRUTE_FORCE_MAX_PRECISION == 20
+
+    @pytest.mark.parametrize("attack,arity,largest", [
+        (mironov_attack, 1, 32_767), (gaussian_pair_attack, 2, 127)])
+    def test_window_cap(self, attack, arity, largest):
+        # a survival check evaluates (2w+1)**arity grid points
+        assert (2 * largest + 1) ** arity <= MAX_CHECK_EVALUATIONS < (2 * largest + 3) ** arity
+        oracle = QueryOracle(0.0, lambda: 0.0)
+        out = attack(oracle, [0.0, 1.0], w=largest, max_queries=0)
+        assert out.status == "budget_exhausted"
+        with pytest.raises(ValueError, match="too large"):
+            attack(oracle, [0.0, 1.0], w=largest + 1, max_queries=0)
+        assert oracle.call_count == 0
 
     def test_outcome_dataclass_defaults(self):
         out = AttackOutcome("identified", 1.0, 3)

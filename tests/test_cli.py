@@ -20,6 +20,10 @@ import pytest
 
 import divsamp
 from divsamp.cli import EXIT_FAIL, EXIT_OK, build_parser, main
+from divsamp.dist import gaussian_cdf, laplace_cdf
+from divsamp.sampler import get_method, method_names
+from divsamp.stats import ks_p_value, ks_statistic
+from divsamp.urand import BitSource
 
 DATA = Path(__file__).parent / "data"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -243,6 +247,9 @@ class TestAttack:
             ["attack", "--epsilon", "inf", "--seed", "1"],
             ["attack", "--epsilon", "1e-320", "--seed", "1"],
             ["attack", "--epsilon", "1e-308", "--seed", "1"],
+            ["attack", "--seed", "1", "--window", "100000000", "--max-queries", "2"],
+            ["attack", "--attack", "gaussian-pair", "--method", "box-muller",
+             "--window", "128", "--seed", "1"],
         ],
     )
     def test_usage_errors(self, argv, capsys):
@@ -307,6 +314,38 @@ class TestVerify:
         _, out, _ = run_cli(
             ["verify", "--seed", "2006", "--count", "100", "--format", "csv"], capsys)
         assert "cost" not in out and "uniforms_drawn" not in out
+
+    @pytest.mark.parametrize("name", method_names())
+    def test_ks_statistic_matches_scalar_cdf(self, name, capsys):
+        # verify's KS evaluates the dist CDF on numpy columns; wrapped in a
+        # lambda, the scalar CDF is called once per sample instead
+        cases = [([], "laplace", 1.0), ([], "gaussian", 1.0)]
+        if get_method(name).family == "laplace":
+            cases.append((["--epsilon", "0.3"], "laplace", 1.0 / 0.3))
+        for extra, reference, scale in cases:
+            _, out, _ = run_cli(["verify", "--method", name, "--seed", "2007", "--count", "3001",
+                                 "--against", reference, *extra], capsys)
+            values = [scale * x for x in get_method(name).draw(BitSource(seed=2007), 53, 3001)]
+            if reference == "laplace":
+                want = ks_statistic(values, lambda x: laplace_cdf(x / scale))
+            else:
+                want = ks_statistic(values, lambda x: gaussian_cdf(x))
+            assert json.loads(out)["checks"][0]["statistic"] == want
+
+    def test_ks_margin_and_p_value(self, capsys):
+        checks = []
+        for extra in ([], ["--against", "gaussian"]):
+            _, out, _ = run_cli(["verify", "--seed", "2008", "--count", "3000", *extra], capsys)
+            ks = json.loads(out)["checks"][0]
+            # added after the fields the report always had, which keep their order
+            assert list(ks) == ["name", "statistic", "critical_value", "alpha", "pass",
+                                "margin", "p_value"]
+            assert ks["margin"] == ks["critical_value"] - ks["statistic"]
+            assert (ks["margin"] > 0) == ks["pass"]
+            assert ks["p_value"] == ks_p_value(ks["statistic"], 3000)
+            checks.append(ks)
+        # naive Laplace passes against its own family and fails against Gaussian
+        assert checks[0]["p_value"] > 0.01 > checks[1]["p_value"] >= 0.0
 
     def test_moments_reported(self, capsys):
         _, out, _ = run_cli(["verify", "--seed", "2005", "--count", "5000"], capsys)

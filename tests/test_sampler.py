@@ -206,18 +206,18 @@ class TestLaplaceExpdiff:
 class TestLaplaceFromGaussians:
     def test_sqsum_component_arithmetic(self, monkeypatch):
         vals = iter([2.0, 1.0, 0.0, 1.0])
-        monkeypatch.setattr(sampler_mod, "secure_gaussian", lambda src, p, m: next(vals))
+        monkeypatch.setattr(sampler_mod, "_gaussian_sum_kernel", lambda take, p, lm, n: next(vals))
         # (4 - 1 + 0 - 1) / 2
         assert laplace_sqsum(BitSource(seed=0), 53, 1) == 1.0
 
     def test_proddiff_component_arithmetic(self, monkeypatch):
         vals = iter([3.0, 2.0, 1.0, 1.0])
-        monkeypatch.setattr(sampler_mod, "secure_gaussian", lambda src, p, m: next(vals))
+        monkeypatch.setattr(sampler_mod, "_gaussian_sum_kernel", lambda take, p, lm, n: next(vals))
         assert laplace_proddiff(BitSource(seed=0), 53, 1) == 5.0
 
     def test_proddiff_zero_components(self, monkeypatch):
         vals = iter([0.0, 5.0, 0.0, 7.0])
-        monkeypatch.setattr(sampler_mod, "secure_gaussian", lambda src, p, m: next(vals))
+        monkeypatch.setattr(sampler_mod, "_gaussian_sum_kernel", lambda take, p, lm, n: next(vals))
         assert laplace_proddiff(BitSource(seed=0), 53, 1) == 0.0
 
     @pytest.mark.parametrize("fn", [laplace_sqsum, laplace_proddiff])
@@ -423,11 +423,6 @@ class TestBulkDraw:
         monkeypatch.setattr(src, "_rng", Failing())
         with pytest.raises(EntropyError):
             get_method("laplace-logcos").draw(src, 53, 2)
-
-    def test_method_without_kernel_calls_its_drawer(self):
-        outputs = iter([1.5, -2.0, 0.25])
-        stub = SamplerMethod("stub", "laplace", "naive", 1, lambda src, p: lambda: next(outputs))
-        assert stub.draw(BitSource(seed=0), 8, 3) == [1.5, -2.0, 0.25]
 
     @pytest.mark.parametrize("p,count", [(0, 1), (54, 1), (53, -1), (53, 2.0), (53, True)])
     def test_bad_arguments(self, p, count):

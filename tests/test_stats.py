@@ -22,10 +22,13 @@ from divsamp.stats import (
     distinct_output_count,
     empirical_cdf,
     ks_critical_value,
+    ks_p_value,
     ks_statistic,
     moments,
 )
 from divsamp.urand import BitSource
+
+from conftest import ScriptedSource
 
 
 class TestKsCriticalValue:
@@ -45,7 +48,43 @@ class TestKsCriticalValue:
             ks_critical_value(0)
 
 
+class TestKsPValue:
+    def test_matches_scipy_kolmogorov_tail(self):
+        for n in (4, 100, 2000):
+            for d in np.linspace(0.0, 3.0 / math.sqrt(n), 61):
+                want = scipy.stats.kstwobign.sf(math.sqrt(n) * d)
+                assert ks_p_value(float(d), n) == pytest.approx(want, rel=1e-9, abs=1e-15)
+
+    def test_critical_values_sit_at_their_level(self):
+        for alpha in (0.01, 0.05):
+            p = ks_p_value(float(ks_critical_value(2000, alpha)), 2000)
+            assert p == pytest.approx(alpha, rel=0.01)
+
+    def test_in_unit_interval_and_decreasing(self):
+        ps = [ks_p_value(d, 500) for d in np.linspace(0.0, 1.0, 2001).tolist()]
+        assert ps[0] == 1.0 and ps[-1] == 0.0
+        assert all(0.0 <= p <= 1.0 for p in ps)
+        assert all(a >= b for a, b in zip(ps, ps[1:]))
+        # strictly while the tail is neither 1 nor 0 to double precision
+        inner = [p for p in ps if 1e-300 < p < 1.0 - 1e-15]
+        assert len(inner) > 100
+        assert all(a > b for a, b in zip(inner, inner[1:]))
+
+    def test_bad_count(self):
+        with pytest.raises(ValueError):
+            ks_p_value(0.1, 0)
+
+
 class TestKsStatistic:
+    @pytest.mark.parametrize("cdf", [laplace_cdf, gaussian_cdf])
+    def test_dist_cdfs_on_columns_match_per_sample_calls(self, cdf):
+        rng = np.random.default_rng(11)
+        xs = np.concatenate([rng.laplace(size=5000), rng.normal(scale=8.0, size=5000),
+                             [0.0, -0.0, 5e-324, -5e-324, 745.0, -745.0, 40.0, -40.0]])
+        for sample in (xs, xs[:7], xs[-8:]):
+            # a lambda is not the dist function, so it is called per sample
+            assert ks_statistic(sample, cdf) == ks_statistic(sample, lambda x: cdf(x))
+
     def test_single_sample_at_median(self):
         assert ks_statistic([0.0], gaussian_cdf) == 0.5
 
@@ -176,10 +215,10 @@ class TestDistinctOutputCount:
         assert count > 256
 
     def test_zero_signs_counted_separately(self):
-        outputs = iter([0.0, -0.0, 0.0, -0.0])
+        # +0.0 for an even numerator, -0.0 for an odd one
         stub = SamplerMethod("stub", "laplace", "naive", 1,
-                             lambda src, p: lambda: next(outputs))
-        assert distinct_output_count(stub, 8, 4, BitSource(seed=0)) == 2
+                             lambda take, p, lm: 0.0 * (1.0 - 2.0 * (take() & 1)))
+        assert distinct_output_count(stub, 8, 4, ScriptedSource([0, 1, 2, 3], 8)) == 2
 
     def test_precision_guard(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,7 +87,9 @@ class TestNumerators:
     def test_matches_successive_getrandbits(self, p, k):
         src = BitSource(seed=7_000 + p)
         ref = random.Random(7_000 + p)
-        assert src.numerators(p, k) == [ref.getrandbits(p) for _ in range(k)]
+        ms = src.numerators(p, k)
+        assert ms.dtype == np.uint64
+        assert ms.tolist() == [ref.getrandbits(p) for _ in range(k)]
         assert src.uniforms_drawn == k
         assert src.bits_drawn == p * k
         # the generator is left where k scalar draws leave it
@@ -94,12 +97,12 @@ class TestNumerators:
 
     def test_matches_next_uniform(self):
         a, b = BitSource(seed=3), BitSource(seed=3)
-        assert a.numerators(20, 9) == [next_uniform(b, 20).m for _ in range(9)]
+        assert a.numerators(20, 9).tolist() == [next_uniform(b, 20).m for _ in range(9)]
         assert (a.uniforms_drawn, a.bits_drawn) == (b.uniforms_drawn, b.bits_drawn)
 
     def test_zero_count(self):
         src = BitSource(seed=1)
-        assert src.numerators(53, 0) == []
+        assert src.numerators(53, 0).tolist() == []
         assert src.getrandbits(40) == random.Random(1).getrandbits(40)
         assert (src.uniforms_drawn, src.bits_drawn) == (0, 0)
 
