@@ -24,19 +24,7 @@ from .attack import (
     invert_box_muller,
     mironov_attack,
 )
-from .dist import (
-    ChiSquared,
-    DistributionSpec,
-    Exponential,
-    Gamma,
-    Gaussian,
-    Laplace,
-    Uniform,
-    gaussian_cdf,
-    laplace_cdf,
-    laplace_inverse_cdf,
-    pdf,
-)
+from .dist import gaussian_cdf, laplace_cdf, laplace_inverse_cdf
 from .sampler import (
     GaussianStream,
     SamplerMethod,
@@ -54,7 +42,6 @@ from .sampler import (
 from .stats import (
     MomentSummary,
     distinct_output_count,
-    empirical_cdf,
     ks_critical_value,
     ks_p_value,
     ks_statistic,
@@ -75,24 +62,16 @@ __all__ = [
     "AttackOutcome",
     "BitSource",
     "BruteForceResult",
-    "ChiSquared",
-    "DistributionSpec",
     "EntropyError",
-    "Exponential",
-    "Gamma",
-    "Gaussian",
     "GaussianStream",
-    "Laplace",
     "MomentSummary",
     "PhaseAlignmentError",
     "QueryOracle",
     "SamplerMethod",
-    "Uniform",
     "UniformVariate",
     "brute_force_single_gaussian",
     "count_feasible_checks",
     "distinct_output_count",
-    "empirical_cdf",
     "expected_checks",
     "gaussian_cdf",
     "gaussian_pair_attack",
@@ -114,7 +93,6 @@ __all__ = [
     "naive_laplace_from_variate",
     "neighbors",
     "next_uniform",
-    "pdf",
     "round_to_variate",
     "secure_gaussian",
     "symmetric_cos",

@@ -368,13 +368,6 @@ def brute_force_single_gaussian(
             u2 = UniformVariate(m2, p)
             if bm_cos(0.0, u2.value) == n1:
                 pairs.append((UniformVariate(0, p), u2))
-        for m1 in range(1, size):
-            u1 = UniformVariate(m1, p)
-            r = bm_radius(u1.value)
-            for m2 in (size // 4, 3 * size // 4):  # angles nearest the zero crossings
-                u2 = UniformVariate(m2, p)
-                if r * math.cos(TWO_PI * u2.value) == n1:  # pragma: no cover
-                    pairs.append((u1, u2))
         return BruteForceResult(pairs, checks)
 
     lo = size - count_feasible_checks(n1, p)

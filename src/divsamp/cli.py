@@ -20,7 +20,7 @@ import sys
 
 from . import attack as attack_mod
 from . import dist, stats
-from .sampler import GaussianStream, get_method, method_names
+from .sampler import GaussianStream, get_method
 from .urand import MAX_PRECISION, BitSource
 
 EXIT_OK = 0
@@ -202,8 +202,6 @@ def _parse_candidates(parser, text: str) -> list[float]:
         _fail(parser, f"could not parse candidate list {text!r}")
     if not cands:
         _fail(parser, "candidate list is empty")
-    if not all(math.isfinite(c) for c in cands):
-        _fail(parser, f"candidates must be finite, got {text!r}")
     return cands
 
 
@@ -211,37 +209,27 @@ def _run_attack(parser, args) -> int:
     method = _resolve_method(parser, args)
     scale = _noise_scale(parser, args, method)
     candidates = _parse_candidates(parser, args.candidates)
+    if args.target is not None and not math.isfinite(args.target):
+        _fail(parser, f"target must be finite, got {args.target}")
     target = candidates[0] if args.target is None else args.target
-    if not math.isfinite(target):
-        _fail(parser, f"target must be finite, got {target}")
-    if args.max_queries < 0:
-        _fail(parser, f"query budget must be non-negative, got {args.max_queries}")
-    src = BitSource(args.seed)
-
     if args.attack_kind == "mironov":
-        if method.family != "laplace":
-            _fail(parser, "the Mironov attack applies to Laplace-family noise")
-        w = attack_mod.DEFAULT_WINDOW if args.window is None else args.window
-        drawer = method.make_drawer(src, args.p)
-        oracle = attack_mod.QueryOracle(target, lambda: scale * drawer())
-        campaign = attack_mod.mironov_attack
+        family, w, campaign = "laplace", attack_mod.DEFAULT_WINDOW, attack_mod.mironov_attack
+        wrong_family = "the Mironov attack applies to Laplace-family noise"
     else:
-        if method.family != "gaussian":
-            _fail(parser, "the pair attack applies to Gaussian-family noise")
-        w = attack_mod.DEFAULT_PAIR_WINDOW if args.window is None else args.window
-        stream = None
-        if method.name == "box-muller":
-            stream = GaussianStream(src, args.p)
-            drawer = stream.next
-        else:
-            drawer = method.make_drawer(src, args.p)
-        oracle = attack_mod.QueryOracle(target, lambda: scale * drawer(), stream=stream)
-        campaign = attack_mod.gaussian_pair_attack
+        family, w, campaign = ("gaussian", attack_mod.DEFAULT_PAIR_WINDOW,
+                               attack_mod.gaussian_pair_attack)
+        wrong_family = "the pair attack applies to Gaussian-family noise"
+    if method.family != family:
+        _fail(parser, wrong_family)
+    if args.window is not None:
+        w = args.window
+    drawer = method.make_drawer(BitSource(args.seed), args.p)
+    oracle = attack_mod.QueryOracle(target, lambda: scale * drawer())
     try:
         outcome = campaign(
             oracle, candidates, p=args.p, w=w, max_queries=args.max_queries, scale=scale
         )
-    except ValueError as exc:  # raised before the first query: too large a window
+    except ValueError as exc:  # the campaign checks its arguments before the first query
         _fail(parser, str(exc))
 
     payload = {

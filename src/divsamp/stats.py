@@ -32,7 +32,6 @@ __all__ = [
     "ks_critical_value",
     "ks_p_value",
     "ks_statistic",
-    "empirical_cdf",
     "MomentSummary",
     "moments",
     "distinct_output_count",
@@ -101,23 +100,6 @@ def ks_statistic(samples, cdf: Callable[[float], float]) -> float:
     d_plus = float(np.max(i / n - f))
     d_minus = float(np.max(f - (i - 1.0) / n))
     return max(d_plus, d_minus)
-
-
-def empirical_cdf(samples) -> Callable[[float], float]:
-    """Right-continuous empirical CDF of ``samples`` as a callable.
-
-    Feeding the result to :func:`ks_statistic` as the reference CDF yields
-    the exact two-sample KS statistic between the two sample sets.
-    """
-    data = np.sort(np.asarray(list(samples), dtype=float))
-    if data.size == 0:
-        raise ValueError("need at least one sample")
-    n = data.size
-
-    def cdf(x: float) -> float:
-        return float(np.searchsorted(data, x, side="right")) / n
-
-    return cdf
 
 
 @dataclass(frozen=True)

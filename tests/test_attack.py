@@ -455,12 +455,12 @@ class TestBruteForce:
         result = brute_force_single_gaussian(n1, p, w=2)
         assert 0 <= result.checks - count_feasible_checks(n1, p) <= 2
 
-    def test_zero_output_case(self):
-        result = brute_force_single_gaussian(0.0, 8)
-        assert result.checks == 256
-        assert len(result.pairs) == 256
-        assert all(u1.m == 0 for u1, _ in result.pairs)
-        assert sorted(u2.m for _, u2 in result.pairs) == list(range(256))
+    @pytest.mark.parametrize("p", [1, 2, 8])
+    def test_zero_output_case(self, p):
+        # only the zero radius reaches 0.0: every angle with u1 = 0, nothing else
+        result = brute_force_single_gaussian(0.0, p)
+        assert result.checks == 2**p
+        assert [(u1.m, u2.m) for u1, u2 in result.pairs] == [(0, m2) for m2 in range(2**p)]
 
     def test_unreachable_output_finds_nothing(self):
         # 12.0 needs u1 so close to 1 that no p=8 grid point reaches it

@@ -20,7 +20,6 @@ from divsamp.stats import (
     KS_CRIT_005,
     MomentSummary,
     distinct_output_count,
-    empirical_cdf,
     ks_critical_value,
     ks_p_value,
     ks_statistic,
@@ -132,24 +131,18 @@ class TestKsStatistic:
         assert ks_statistic(xs, gaussian_cdf) == ks_statistic(shuffled, gaussian_cdf)
 
 
+def _empirical_cdf(samples):
+    # right-continuous step CDF; as ks_statistic's reference it gives the two-sample statistic
+    data = np.sort(np.asarray(samples, dtype=float))
+    return lambda x: float(np.searchsorted(data, x, side="right")) / data.size
+
+
 class TestEmpiricalCdf:
-    def test_step_values(self):
-        cdf = empirical_cdf([3.0, 1.0, 2.0])
-        assert cdf(0.5) == 0.0
-        assert cdf(1.0) == pytest.approx(1 / 3)
-        assert cdf(2.5) == pytest.approx(2 / 3)
-        assert cdf(3.0) == 1.0
-        assert cdf(99.0) == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_cdf([])
-
     def test_two_sample_ks_matches_scipy(self):
         rng = np.random.default_rng(505)
         xs = rng.standard_normal(800)
         ys = rng.standard_normal(1200) + 0.3
-        ours = ks_statistic(xs, empirical_cdf(ys))
+        ours = ks_statistic(xs, _empirical_cdf(ys))
         theirs = scipy.stats.ks_2samp(xs, ys).statistic
         assert ours == pytest.approx(theirs, abs=1e-12)
 
