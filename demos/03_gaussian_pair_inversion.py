@@ -19,9 +19,9 @@ from divsamp import (
     GaussianStream,
     QueryOracle,
     gaussian_pair_attack,
+    get_method,
     invert_box_muller,
     next_uniform,
-    secure_gaussian,
 )
 from divsamp.sampler import bm_cos, bm_sin
 
@@ -60,19 +60,18 @@ print("queries consumed: ", outcome.queries_used)
 # outputs averaged) is enough to take the identification rate to zero.
 
 for n in (1, 2):
-    src = BitSource(seed=1999)
-    oracle = QueryOracle(1.0, lambda: secure_gaussian(src, n=n))
+    noise = get_method("secure-gaussian", n).make_drawer(BitSource(seed=1999))
+    oracle = QueryOracle(1.0, noise)
     out = gaussian_pair_attack(oracle, [0.0, 1.0], max_queries=100)
-    print(f"against secure_gaussian(n={n}):  {out.status} "
+    print(f"against secure-gaussian n={n}:  {out.status} "
           f"(recovered {out.value}, {out.queries_used} queries)")
 
 # --- why the defense still samples correctly --------------------------------
 
-src = BitSource(seed=77)
-xs = [secure_gaussian(src, n=2) for _ in range(50_000)]
+xs = get_method("secure-gaussian", 2).draw(BitSource(seed=77), 53, 50_000)
 mean = sum(xs) / len(xs)
 var = sum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
 print()
-print(f"secure_gaussian(n=2) over 50000 draws: mean {mean:+.4f}, variance {var:.4f}")
+print(f"secure-gaussian n=2 over 50000 draws: mean {mean:+.4f}, variance {var:.4f}")
 print(f"cost: exactly {2 * 2} uniforms per draw (vs 1 amortized for the raw stream)")
 assert abs(var - 1.0) < 0.03

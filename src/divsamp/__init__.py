@@ -29,15 +29,8 @@ from .sampler import (
     GaussianStream,
     SamplerMethod,
     get_method,
-    laplace_expdiff,
-    laplace_logcos,
-    laplace_proddiff,
-    laplace_sqsum,
     method_names,
-    naive_laplace,
     naive_laplace_from_variate,
-    secure_gaussian,
-    symmetric_cos,
 )
 from .stats import (
     MomentSummary,
@@ -81,19 +74,12 @@ __all__ = [
     "ks_p_value",
     "ks_statistic",
     "laplace_cdf",
-    "laplace_expdiff",
     "laplace_inverse_cdf",
-    "laplace_logcos",
-    "laplace_proddiff",
-    "laplace_sqsum",
     "method_names",
     "mironov_attack",
     "moments",
-    "naive_laplace",
     "naive_laplace_from_variate",
     "neighbors",
     "next_uniform",
     "round_to_variate",
-    "secure_gaussian",
-    "symmetric_cos",
 ]

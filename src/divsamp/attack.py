@@ -30,7 +30,9 @@ from .sampler import (
     bm_sin,
     naive_laplace_from_numerator,
 )
-from .urand import DEFAULT_PRECISION, UniformVariate, check_precision, grid_round, grid_window
+from .urand import (
+    DEFAULT_PRECISION, UniformVariate, check_count, check_precision, grid_round, grid_window,
+)
 
 DEFAULT_WINDOW = 2
 DEFAULT_PAIR_WINDOW = 4
@@ -113,16 +115,14 @@ def _campaign_candidates(
     # The one boundary check of both attacks: everything is rejected here,
     # before the first query, so the survival checks run unvalidated.
     check_precision(p)
-    if w < 0:
-        raise ValueError(f"window must be non-negative, got {w}")
+    check_count(w, "window")
+    check_count(max_queries, "query budget")
     if (2 * w + 1) ** arity > MAX_CHECK_EVALUATIONS:
         raise ValueError(f"window {w} is too large: a survival check would evaluate "
                          f"{(2 * w + 1) ** arity} grid points, more than "
                          f"{MAX_CHECK_EVALUATIONS}")
     if not (scale > 0 and math.isfinite(scale)):
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
-    if max_queries < 0:
-        raise ValueError(f"query budget must be non-negative, got {max_queries}")
     cands = [float(c) for c in candidates]
     if not cands:
         raise ValueError("candidate set must be non-empty")
@@ -348,8 +348,7 @@ def brute_force_single_gaussian(
         )
     if not math.isfinite(n1):
         raise ValueError(f"need a finite output value, got {n1!r}")
-    if w < 0:
-        raise ValueError(f"window must be non-negative, got {w}")
+    check_count(w, "window")
 
     size = 1 << p
     # Wider windows reach no further grid points: start is already 0, and

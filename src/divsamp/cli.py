@@ -287,7 +287,10 @@ def _run_verify(parser, args) -> int:
         stat = stats.ks_statistic(values, dist.gaussian_cdf)
         ref_variance = 1.0
     critical = float(stats.ks_critical_value(args.count, 0.01))
-    summary = stats.moments(values)
+    try:
+        summary = stats.moments(values)
+    except ValueError as exc:  # every draw equal, as naive-laplace at p=1
+        _fail(parser, f"cannot verify {method.name} at p={args.p}: {exc}")
     ks_pass = stat < critical
     var_pass = abs(summary.variance - ref_variance) <= 0.03 * ref_variance
 

@@ -1,24 +1,27 @@
 """Noise samplers: vulnerable baselines and divisibility-hardened forms.
 
-Two families live here.  The vulnerable baselines (``naive_laplace``, the
+Two families live here.  The vulnerable baselines (``naive-laplace``, the
 cached Box-Muller stream) each expose a one- or two-uniform fingerprint
 that an adversary can invert.  The hardened samplers combine several
 uniforms per output so that recovering the underlying variates means
-searching a product grid: ``laplace_expdiff`` (difference of two
-exponentials), ``laplace_sqsum`` and ``laplace_proddiff`` (four Gaussians),
-``laplace_logcos`` (four uniforms through a log-cosine identity), and
-``secure_gaussian`` (a 2n-fold Gaussian average).
+searching a product grid: ``laplace-expdiff`` (difference of two
+exponentials), ``laplace-sqsum`` and ``laplace-proddiff`` (four Gaussians),
+``laplace-logcos`` (four uniforms through a log-cosine identity), and
+``secure-gaussian`` (a 2n-fold Gaussian average).
 
-The forward Box-Muller maps are factored out as :func:`bm_cos` /
-:func:`bm_sin` because the attack module must re-evaluate them with
-bit-identical arithmetic.
+:func:`get_method` is the sampler API: it looks a method up by name and
+returns a :class:`SamplerMethod`, whose ``make_drawer(src, p)`` binds it
+to a bit source for one output per call and whose ``draw(src, p, count)``
+returns a batch.  The forward Box-Muller maps are also exposed as
+:func:`bm_cos` / :func:`bm_sin` because the attack module must re-evaluate
+them with bit-identical arithmetic.
 
 Each method's arithmetic is written once, as a *kernel*: a function of
 ``(take, p, lm)`` that pulls the grid numerators of one output, in draw
 order, from the zero-argument ``take`` and returns that output (the
 Box-Muller pair kernel returns both halves of the pair), calling
 ``log``, ``cos``, ``sin``, ``sqrt`` and ``ldexp`` on the namespace ``lm``.
-The scalar samplers feed a kernel single numerators, with ``lm = math``.
+The drawer feeds a kernel single numerators, with ``lm = math``.
 :meth:`SamplerMethod.draw` feeds it numpy columns of numerators, one
 element per output, with ``lm =`` :data:`~divsamp.columns.COLUMN_MATH`.
 Sign selections are written ``1 - 2 [condition]``, which Python and
@@ -36,7 +39,9 @@ import numpy as np
 
 from .columns import COLUMN_MATH
 from .dist import _laplace_quantile
-from .urand import BitSource, DEFAULT_PRECISION, UniformVariate, check_precision, next_uniform
+from .urand import (
+    BitSource, DEFAULT_PRECISION, UniformVariate, check_count, check_precision, next_uniform,
+)
 
 DEFAULT_DIVISIBILITY = 4
 TWO_PI = 2.0 * math.pi
@@ -48,20 +53,12 @@ DRAW_BATCH_UNIFORMS = 2048
 __all__ = [
     "DEFAULT_DIVISIBILITY",
     "DRAW_BATCH_UNIFORMS",
-    "naive_laplace",
     "naive_laplace_from_numerator",
     "naive_laplace_from_variate",
     "bm_radius",
     "bm_cos",
     "bm_sin",
-    "bm_pair",
     "GaussianStream",
-    "secure_gaussian",
-    "laplace_expdiff",
-    "laplace_sqsum",
-    "laplace_proddiff",
-    "laplace_logcos",
-    "symmetric_cos",
     "SamplerMethod",
     "get_method",
     "method_names",
@@ -104,19 +101,8 @@ def naive_laplace_from_variate(u: UniformVariate) -> float:
     return naive_laplace_from_numerator(u.m, u.p)
 
 
-def naive_laplace(src: BitSource, p: int = DEFAULT_PRECISION) -> float:
-    """One standard Laplace draw by direct inversion of one uniform.
-
-    This is the textbook inverse-transform sampler.  Its output space is a
-    deterministic image of the ``2**p``-point grid, which is exactly what
-    makes it attackable; it is included as the baseline under test.  At
-    ``p = 1`` it always returns ``0.0``: both grid points map to
-    ``u = 0.5``, because the zero numerator is remapped onto ``m = 1``.
-    """
-    return naive_laplace_from_variate(next_uniform(src, p))
-
-
 def _naive_kernel(take: _Take, p: int, lm) -> float:
+    # F^-1(U): the inverse Laplace CDF of one uniform
     return _naive_laplace(take(), p, lm)
 
 
@@ -139,12 +125,8 @@ def bm_sin(u1: float, u2: float) -> float:
     return bm_radius(u1) * math.sin(TWO_PI * u2)
 
 
-def bm_pair(u1: float, u2: float) -> tuple[float, float]:
-    """``(bm_cos(u1, u2), bm_sin(u1, u2))`` with the radial factor computed once."""
-    return _bm_pair(u1, u2, math)
-
-
 def _bm_pair(u1, u2, lm):
+    # (bm_cos(u1, u2), bm_sin(u1, u2)) with the radial factor computed once
     r = _bm_radius(u1, lm)
     angle = TWO_PI * u2
     return r * lm.cos(angle), r * lm.sin(angle)
@@ -156,6 +138,7 @@ def _bm_pair_kernel(take: _Take, p: int, lm) -> tuple[float, float]:
 
 
 def _gaussian_sum_kernel(take: _Take, p: int, lm, n: int) -> float:
+    # (G1 + ... + G2n) / sqrt(2n) over n fresh Box-Muller pairs
     # both halves of n pairs, added one at a time in stream order: the
     # rounding of each addition is part of the seeded output
     total = 0.0
@@ -197,41 +180,20 @@ class GaussianStream:
         return first
 
 
-def secure_gaussian(
-    src: BitSource, p: int = DEFAULT_PRECISION, n: int = DEFAULT_DIVISIBILITY
-) -> float:
-    """A standard Gaussian as a normalized sum of ``2 n`` Box-Muller outputs.
-
-    Sums ``2 n`` consecutive outputs of a fresh stream (both halves of each
-    evaluated pair, so nothing is cached across calls) and divides by
-    ``sqrt(2 n)``.  Consumes exactly ``2 n`` uniforms.  Inverting one
-    output now requires searching roughly the full product grid of all
-    ``2 n`` uniforms instead of reading one pair off the output.
-    """
-    _check_divisibility(n)
-    check_precision(p)
-    return _gaussian_sum_kernel(_scalar_take(src, p), p, math, n)
-
-
 def _expdiff_kernel(take: _Take, p: int, lm) -> float:
+    # (-log(1-U1)) - (-log(1-U2))
     e1 = -lm.log(1.0 - lm.ldexp(take(), -p))
     e2 = -lm.log(1.0 - lm.ldexp(take(), -p))
     return e1 - e2
 
 
-def laplace_expdiff(src: BitSource, p: int = DEFAULT_PRECISION) -> float:
-    """Standard Laplace as a difference of two independent exponentials.
-
-    Consumes two uniforms: ``(-log(1-U1)) - (-log(1-U2))``.
-    """
-    return _expdiff_kernel(_scalar_take(src, p), p, math)
-
-
 def _sqsum(n1: float, n2: float, n3: float, n4: float) -> float:
+    # (N1² - N2² + N3² - N4²) / 2
     return 0.5 * (n1 * n1 - n2 * n2 + n3 * n3 - n4 * n4)
 
 
 def _proddiff(n1: float, n2: float, n3: float, n4: float) -> float:
+    # N1 N2 - N3 N4
     return n1 * n2 - n3 * n4
 
 
@@ -242,30 +204,8 @@ def _four_gaussians_kernel(combine: Callable[..., float], m: int) -> _Kernel:
     return kernel
 
 
-def laplace_sqsum(src: BitSource, p: int = DEFAULT_PRECISION, m: int = 1) -> float:
-    """Standard Laplace from squared Gaussians: ``(N1² - N2² + N3² - N4²) / 2``.
-
-    Each of the four standard Gaussians is itself drawn by
-    :func:`secure_gaussian` with divisibility ``m``, so one output consumes
-    ``8 m`` uniforms.
-    """
-    _check_divisibility(m)
-    check_precision(p)
-    return _four_gaussians_kernel(_sqsum, m)(_scalar_take(src, p), p, math)
-
-
-def laplace_proddiff(src: BitSource, p: int = DEFAULT_PRECISION, m: int = 1) -> float:
-    """Standard Laplace as a difference of Gaussian products: ``N1 N2 - N3 N4``.
-
-    As with :func:`laplace_sqsum`, each factor is a divisibility-``m``
-    secure Gaussian, for ``8 m`` uniforms per output.
-    """
-    _check_divisibility(m)
-    check_precision(p)
-    return _four_gaussians_kernel(_proddiff, m)(_scalar_take(src, p), p, math)
-
-
 def _symmetric_cos(m, p: int, lm):
+    # ±cos(pi (U mod 1/2)), the sign from the numerator's top bit
     half = 1 << (p - 1)
     c = lm.cos(math.pi * lm.ldexp(m & (half - 1), -p))
     # -c where the top bit is set; -1.0 * c is -c exactly
@@ -274,19 +214,6 @@ def _symmetric_cos(m, p: int, lm):
 
 def _plain_cos(m, p: int, lm):
     return lm.cos(math.pi * lm.ldexp(m, -p))
-
-
-def symmetric_cos(u: UniformVariate) -> float:
-    """Sign-symmetric cosine factor built from an exact bit split of ``u``.
-
-    The top bit of the numerator selects the sign and the remaining bits
-    form ``u mod 1/2``, so the result is ``±cos(pi * (u mod 1/2))``.  The
-    split is done on the integer numerator, making the sign /magnitude
-    decomposition exact rather than a rounded float operation.  Restores
-    the sign symmetry that plain ``cos(pi * u)`` lacks over half-open
-    uniforms.
-    """
-    return _symmetric_cos(u.m, u.p, math)
 
 
 def _logcos_kernel(cos_factor: Callable[..., float]) -> _Kernel:
@@ -302,21 +229,6 @@ def _logcos_kernel(cos_factor: Callable[..., float]) -> _Kernel:
 
 _LOGCOS = _logcos_kernel(_plain_cos)
 _LOGCOS_SYM = _logcos_kernel(_symmetric_cos)
-
-
-def laplace_logcos(
-    src: BitSource, p: int = DEFAULT_PRECISION, symmetric: bool = False
-) -> float:
-    """Standard Laplace from two log-cosine products over four uniforms.
-
-    Computes ``log(1-U1) cos(pi U2) + log(1-U3) cos(pi U4)``.  Each term is
-    the projection of a squared-Gaussian difference onto one uniform pair,
-    and the sum of the two terms is exactly Laplace-distributed.  With
-    ``symmetric=True`` the cosine factors are evaluated via
-    :func:`symmetric_cos`, which restores the ±symmetry lost to the
-    half-open uniform range.  Consumes four uniforms either way.
-    """
-    return (_LOGCOS_SYM if symmetric else _LOGCOS)(_scalar_take(src, p), p, math)
 
 
 # --- method registry ---------------------------------------------------------
@@ -363,8 +275,7 @@ class SamplerMethod:
         whole pair for an odd last output and discards its second half.
         """
         check_precision(p)
-        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-            raise ValueError(f"draw count must be a non-negative integer, got {count!r}")
+        check_count(count, "draw count")
         per_call = self.uniforms_per_draw * self._outputs
         calls = -(-count // self._outputs)
         batch = max(1, DRAW_BATCH_UNIFORMS // per_call)

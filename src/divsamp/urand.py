@@ -56,6 +56,13 @@ def check_precision(p: int) -> int:
     return p
 
 
+def check_count(k: int, what: str) -> None:
+    """Reject ``k`` unless it is a non-negative ``int``; ``what`` names it in the error."""
+    # bool is an int subclass; True must not pass as 1
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {k!r}")
+
+
 @dataclass(frozen=True)
 class UniformVariate:
     """A uniform draw on the dyadic grid ``{m * 2**-p : 0 <= m < 2**p}``.
@@ -138,8 +145,7 @@ class BitSource:
         come as a ``uint64`` array.
         """
         check_precision(p)
-        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-            raise ValueError(f"numerator count must be a non-negative integer, got {k!r}")
+        check_count(k, "numerator count")
         if self.seed is None or type(self).getrandbits is not BitSource.getrandbits:
             ms = np.array([self.getrandbits(p) for _ in range(k)], np.uint64)
         else:

@@ -28,9 +28,7 @@ from divsamp.sampler import (
     bm_cos,
     bm_sin,
     get_method,
-    naive_laplace,
     naive_laplace_from_variate,
-    secure_gaussian,
 )
 from divsamp.stats import distinct_output_count, ks_critical_value, ks_statistic
 from divsamp.urand import BitSource, next_uniform
@@ -56,7 +54,7 @@ def test_01_mironov_identifies_naive_laplace_target():
     t0 = time.perf_counter()
     hits = sum(
         _mironov_campaign(10_000 + k, float(k % 2),
-                          lambda src: (lambda: naive_laplace(src)))
+                          get_method("naive-laplace").make_drawer)
         for k in range(CAMPAIGNS)
     )
     elapsed = time.perf_counter() - t0
@@ -78,13 +76,12 @@ def test_02_pair_attack_beats_raw_stream_but_not_sums():
 
     # the two-fold average (N1 + N2)/sqrt(2) and the n = 2 hardened form
     defended = {"avg2": 0, "secure_n2": 0}
+    avg2, secure_n2 = get_method("secure-gaussian", 1), get_method("secure-gaussian", 2)
     for k in range(CAMPAIGNS):
-        src = BitSource(seed=700_000 + k)
-        oracle = QueryOracle(1.0, lambda: secure_gaussian(src, n=1))
+        oracle = QueryOracle(1.0, avg2.make_drawer(BitSource(seed=700_000 + k)))
         if gaussian_pair_attack(oracle, CANDS, max_queries=BUDGET).status == "identified":
             defended["avg2"] += 1
-        src = BitSource(seed=710_000 + k)
-        oracle = QueryOracle(1.0, lambda: secure_gaussian(src, n=2))
+        oracle = QueryOracle(1.0, secure_n2.make_drawer(BitSource(seed=710_000 + k)))
         if gaussian_pair_attack(oracle, CANDS, max_queries=BUDGET).status == "identified":
             defended["secure_n2"] += 1
 
@@ -120,11 +117,11 @@ def test_03_divisible_laplace_samplers_defeat_mironov():
 
 def test_04_window_two_never_drops_the_true_candidate():
     # 10^5 seeded round trips through the attack's survival check at W = 2
-    src = BitSource(seed=424_242)
+    noise = get_method("naive-laplace").make_drawer(BitSource(seed=424_242))
     target = 1.0
     misses = 0
     for _ in range(100_000):
-        q = target + naive_laplace(src)
+        q = target + noise()
         if not _laplace_survives(q, target, 53, 2, 1.0):
             misses += 1
     ok = misses == 0
@@ -234,17 +231,18 @@ def test_09_hardening_cost_stays_linear():
     orders = (1, 2, 4, 8)
     for n in orders:
         src = BitSource(seed=50_000 + n)
+        draw = get_method("secure-gaussian", n).make_drawer(src)
         for _ in range(25):
-            secure_gaussian(src, n=n)
+            draw()
         assert src.uniforms_drawn == 25 * 2 * n, f"n={n} consumed {src.uniforms_drawn}"
 
     draws = 4000
     times = {}
     for n in orders:
-        src = BitSource(seed=51_000 + n)
+        draw = get_method("secure-gaussian", n).make_drawer(BitSource(seed=51_000 + n))
         t0 = time.perf_counter()
         for _ in range(draws):
-            secure_gaussian(src, n=n)
+            draw()
         times[n] = time.perf_counter() - t0
     ratios = {n: times[n] / times[1] for n in orders[1:]}
     ok = all(ratios[n] < 2.0 * n for n in ratios)

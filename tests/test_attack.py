@@ -35,12 +35,9 @@ from divsamp.sampler import (
     GaussianStream,
     bm_cos,
     bm_sin,
-    laplace_expdiff,
-    laplace_logcos,
-    naive_laplace,
+    get_method,
     naive_laplace_from_numerator,
     naive_laplace_from_variate,
-    secure_gaussian,
 )
 from divsamp.urand import BitSource, UniformVariate, neighbors, next_uniform, round_to_variate
 
@@ -56,6 +53,10 @@ BAD_CAMPAIGN_KWARGS = [
     {"candidates": [0.0, math.nan]},
     {"candidates": [math.inf, 1.0]},
     {"w": 100_000_000},
+    {"w": 2.5},
+    {"w": True},
+    {"max_queries": True},
+    {"max_queries": 2.5},
 ]
 
 
@@ -76,8 +77,7 @@ class TestMironovAttack:
         "target,seed", [(1.0, 9001), (-0.375, 9002), (0.125, 9003)]
     )
     def test_recovers_target_from_naive_noise(self, target, seed):
-        src = BitSource(seed=seed)
-        oracle = QueryOracle(target, lambda: naive_laplace(src))
+        oracle = QueryOracle(target, get_method("naive-laplace").make_drawer(BitSource(seed=seed)))
         cands = [target + d for d in (-1.0, 0.0, 0.6, 2.25)]
         out = mironov_attack(oracle, cands, max_queries=40)
         assert out.status == "identified"
@@ -85,9 +85,9 @@ class TestMironovAttack:
         assert out.queries_used == 40 == oracle.call_count
 
     def test_scaled_noise(self):
-        src = BitSource(seed=9010)
+        draw = get_method("naive-laplace").make_drawer(BitSource(seed=9010))
         scale = 2.0
-        oracle = QueryOracle(1.0, lambda: scale * naive_laplace(src))
+        oracle = QueryOracle(1.0, lambda: scale * draw())
         out = mironov_attack(oracle, [0.0, 1.0, 2.0], max_queries=40, scale=scale)
         assert out.status == "identified"
         assert out.value == 1.0
@@ -95,8 +95,8 @@ class TestMironovAttack:
     @pytest.mark.parametrize(
         "noise_name,make_noise",
         [
-            ("expdiff", lambda src: (lambda: laplace_expdiff(src))),
-            ("logcos", lambda src: (lambda: laplace_logcos(src))),
+            ("expdiff", lambda src: get_method("laplace-expdiff").make_drawer(src)),
+            ("logcos", lambda src: get_method("laplace-logcos").make_drawer(src)),
         ],
     )
     def test_hardened_noise_eliminates_everything(self, noise_name, make_noise):
@@ -131,8 +131,7 @@ class TestMironovAttack:
         assert (out.status, out.queries_used, out.trace) == ("budget_exhausted", 0, [])
 
     def test_trace_partitions_candidates(self):
-        src = BitSource(seed=9050)
-        oracle = QueryOracle(0.5, lambda: naive_laplace(src))
+        oracle = QueryOracle(0.5, get_method("naive-laplace").make_drawer(BitSource(seed=9050)))
         cands = [-2.0, 0.5, 3.0]
         out = mironov_attack(oracle, cands, max_queries=30)
         eliminated = [c for _, gone in out.trace for c in gone]
@@ -146,8 +145,7 @@ class TestMironovAttack:
         assert oracle.call_count == 0
 
     def test_int_candidates_come_back_as_floats(self):
-        src = BitSource(seed=9060)
-        oracle = QueryOracle(1.0, lambda: naive_laplace(src))
+        oracle = QueryOracle(1.0, get_method("naive-laplace").make_drawer(BitSource(seed=9060)))
         out = mironov_attack(oracle, [0, 1, 2], max_queries=30)
         assert isinstance(out.value, float) and out.value == 1.0
 
@@ -217,8 +215,8 @@ class TestGaussianPairAttack:
         assert (out.status, out.value) == ("identified", 2.0)
 
     def test_secure_noise_eliminates_everything(self):
-        src = BitSource(seed=9220)
-        oracle = QueryOracle(1.0, lambda: secure_gaussian(src, n=1))
+        draw = get_method("secure-gaussian", 1).make_drawer(BitSource(seed=9220))
+        oracle = QueryOracle(1.0, draw)
         out = gaussian_pair_attack(oracle, [0.0, 1.0, 2.0], max_queries=60)
         assert out.status == "all_eliminated"
         assert out.value is None
@@ -480,8 +478,10 @@ class TestBruteForce:
             brute_force_single_gaussian(bad, 8)
 
     def test_rejects_negative_window(self):
-        with pytest.raises(ValueError):
-            brute_force_single_gaussian(1.0, 8, w=-1)
+        # and a window that is not an int: a float, or a bool standing for 1
+        for w in (-1, 2.5, True):
+            with pytest.raises(ValueError):
+                brute_force_single_gaussian(1.0, 8, w=w)
 
     def test_huge_window_clamped_to_grid(self):
         # a window of 2**p already covers the whole grid; a wider one must

@@ -362,6 +362,8 @@ class TestVerify:
             ["verify", "--epsilon", "inf", "--count", "100"],
             ["verify", "--epsilon", "1e-320", "--count", "100"],
             ["verify", "--epsilon", "1e-200", "--count", "1000", "--seed", "1"],
+            # naive-laplace emits only 0.0 at p=1: no variance to check
+            ["verify", "--p", "1", "--seed", "0", "--count", "10"],
         ],
     )
     def test_usage_errors(self, argv, capsys):

@@ -20,20 +20,12 @@ from divsamp.sampler import (
     GaussianStream,
     SamplerMethod,
     bm_cos,
-    bm_pair,
     bm_radius,
     bm_sin,
     get_method,
-    laplace_expdiff,
-    laplace_logcos,
-    laplace_proddiff,
-    laplace_sqsum,
     method_names,
-    naive_laplace,
     naive_laplace_from_numerator,
     naive_laplace_from_variate,
-    secure_gaussian,
-    symmetric_cos,
 )
 from divsamp.stats import ks_critical_value, ks_statistic
 from divsamp.urand import BitSource, EntropyError, UniformVariate
@@ -41,11 +33,16 @@ from divsamp.urand import BitSource, EntropyError, UniformVariate
 from conftest import ScriptedSource
 
 
+def _draw_one(name, src, p, n=None):
+    """One output of method ``name`` through its drawer."""
+    return get_method(name, n).make_drawer(src, p)()
+
+
 class TestNaiveLaplace:
     def test_quartile_numerator(self):
         # m=1 at p=2 is u=0.25, whose quantile is -log 2
         src = ScriptedSource([1], 2)
-        assert naive_laplace(src, 2) == -math.log(2.0)
+        assert _draw_one("naive-laplace", src, 2) == -math.log(2.0)
 
     def test_zero_numerator_remapped(self):
         lowest = naive_laplace_from_variate(UniformVariate(1, 53))
@@ -57,7 +54,7 @@ class TestNaiveLaplace:
 
     def test_consumes_one_uniform(self):
         src = BitSource(seed=5)
-        naive_laplace(src, 53)
+        _draw_one("naive-laplace", src, 53)
         assert src.uniforms_drawn == 1
         assert src.bits_drawn == 53
 
@@ -84,7 +81,7 @@ class TestBoxMullerMaps:
     @given(st.integers(0, 2**53 - 1), st.integers(0, 2**53 - 1))
     def test_pair_matches_branches(self, m1, m2):
         u1, u2 = math.ldexp(m1, -53), math.ldexp(m2, -53)
-        assert bm_pair(u1, u2) == (bm_cos(u1, u2), bm_sin(u1, u2))
+        assert sampler_mod._bm_pair(u1, u2, math) == (bm_cos(u1, u2), bm_sin(u1, u2))
 
     def test_radius_one_point(self):
         # 1 - u1 == e**-0.5 makes the radial factor exactly 1
@@ -139,12 +136,12 @@ class TestSecureGaussian:
     def test_consumes_2n_uniforms(self):
         for n in (1, 2, 4, 7):
             src = BitSource(seed=3)
-            secure_gaussian(src, 53, n)
+            _draw_one("secure-gaussian", src, 53, n)
             assert src.uniforms_drawn == 2 * n
 
     def test_matches_normalized_stream_sum(self):
         n = 3
-        out = secure_gaussian(BitSource(seed=21), 53, n)
+        out = _draw_one("secure-gaussian", BitSource(seed=21), 53, n)
         stream = GaussianStream(BitSource(seed=21), 53)
         total = 0.0
         for _ in range(2 * n):
@@ -160,25 +157,24 @@ class TestSecureGaussian:
             total = 0.0
             for _ in range(2 * n):
                 total += stream.next()
-            assert secure_gaussian(src, 53, n) == total / math.sqrt(2 * n)
+            assert _draw_one("secure-gaussian", src, 53, n) == total / math.sqrt(2 * n)
 
     def test_no_cache_leaks_between_calls(self):
         # each call starts a fresh stream: the same source position yields
         # the same leading pair regardless of prior parity
         src = BitSource(seed=4)
-        secure_gaussian(src, 53, 1)
+        _draw_one("secure-gaussian", src, 53, 1)
         count_before = src.uniforms_drawn
-        secure_gaussian(src, 53, 1)
+        _draw_one("secure-gaussian", src, 53, 1)
         assert src.uniforms_drawn == count_before + 2
 
     @pytest.mark.parametrize("n", [0, -1, 2.0, "4", True])
     def test_bad_divisibility(self, n):
         with pytest.raises(ValueError):
-            secure_gaussian(BitSource(seed=1), 53, n)
+            get_method("secure-gaussian", n)
 
     def test_sample_moments(self):
-        src = BitSource(seed=6001)
-        xs = [secure_gaussian(src, 53, 2) for _ in range(20_000)]
+        xs = get_method("secure-gaussian", 2).draw(BitSource(seed=6001), 53, 20_000)
         mean = sum(xs) / len(xs)
         var = sum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
         assert abs(mean) < 0.02
@@ -190,16 +186,16 @@ class TestLaplaceExpdiff:
         # 1 - u1 == e**-1 and u2 == 0 give exponentials 1 and 0
         m1 = int(math.ldexp(1.0 - math.exp(-1.0), 53))
         src = ScriptedSource([m1, 0], 53)
-        assert laplace_expdiff(src, 53) == 1.0
+        assert _draw_one("laplace-expdiff", src, 53) == 1.0
 
     def test_swapped_operands_negate(self):
         m1 = int(math.ldexp(1.0 - math.exp(-1.0), 53))
         src = ScriptedSource([0, m1], 53)
-        assert laplace_expdiff(src, 53) == -1.0
+        assert _draw_one("laplace-expdiff", src, 53) == -1.0
 
     def test_consumes_two_uniforms(self):
         src = BitSource(seed=8)
-        laplace_expdiff(src, 53)
+        _draw_one("laplace-expdiff", src, 53)
         assert src.uniforms_drawn == 2
 
 
@@ -208,40 +204,41 @@ class TestLaplaceFromGaussians:
         vals = iter([2.0, 1.0, 0.0, 1.0])
         monkeypatch.setattr(sampler_mod, "_gaussian_sum_kernel", lambda take, p, lm, n: next(vals))
         # (4 - 1 + 0 - 1) / 2
-        assert laplace_sqsum(BitSource(seed=0), 53, 1) == 1.0
+        assert _draw_one("laplace-sqsum", BitSource(seed=0), 53, 1) == 1.0
 
     def test_proddiff_component_arithmetic(self, monkeypatch):
         vals = iter([3.0, 2.0, 1.0, 1.0])
         monkeypatch.setattr(sampler_mod, "_gaussian_sum_kernel", lambda take, p, lm, n: next(vals))
-        assert laplace_proddiff(BitSource(seed=0), 53, 1) == 5.0
+        assert _draw_one("laplace-proddiff", BitSource(seed=0), 53, 1) == 5.0
 
     def test_proddiff_zero_components(self, monkeypatch):
         vals = iter([0.0, 5.0, 0.0, 7.0])
         monkeypatch.setattr(sampler_mod, "_gaussian_sum_kernel", lambda take, p, lm, n: next(vals))
-        assert laplace_proddiff(BitSource(seed=0), 53, 1) == 0.0
+        assert _draw_one("laplace-proddiff", BitSource(seed=0), 53, 1) == 0.0
 
-    @pytest.mark.parametrize("fn", [laplace_sqsum, laplace_proddiff])
-    def test_consumes_8m_uniforms(self, fn):
+    @pytest.mark.parametrize("name", ["laplace-sqsum", "laplace-proddiff"],
+                             ids=lambda name: name.replace("-", "_"))
+    def test_consumes_8m_uniforms(self, name):
         for m in (1, 2):
             src = BitSource(seed=12)
-            fn(src, 53, m)
+            _draw_one(name, src, 53, m)
             assert src.uniforms_drawn == 8 * m
 
 
 class TestSymmetricCos:
     def test_quarter_points_at_p8(self):
         c = math.cos(math.pi * 0.25)
-        assert symmetric_cos(UniformVariate(64, 8)) == c
-        assert symmetric_cos(UniformVariate(128, 8)) == -1.0
-        assert symmetric_cos(UniformVariate(192, 8)) == -c
-        assert symmetric_cos(UniformVariate(0, 8)) == 1.0
+        assert sampler_mod._symmetric_cos(64, 8, math) == c
+        assert sampler_mod._symmetric_cos(128, 8, math) == -1.0
+        assert sampler_mod._symmetric_cos(192, 8, math) == -c
+        assert sampler_mod._symmetric_cos(0, 8, math) == 1.0
 
     @given(st.integers(min_value=2, max_value=20), st.data())
     def test_top_bit_negates_exactly(self, p, data):
         m = data.draw(st.integers(min_value=0, max_value=2**p - 1))
         half = 1 << (p - 1)
-        a = symmetric_cos(UniformVariate(m, p))
-        b = symmetric_cos(UniformVariate(m ^ half, p))
+        a = sampler_mod._symmetric_cos(m, p, math)
+        b = sampler_mod._symmetric_cos(m ^ half, p, math)
         assert a == -b
         assert abs(a) <= 1.0
 
@@ -251,18 +248,18 @@ class TestLaplaceLogcos:
         # u3 = 0 kills the second term; the first is log(1/2) cos(pi/4)
         src = ScriptedSource([2, 1, 0, 0], 2)
         expected = math.log(0.5) * math.cos(math.pi * 0.25)
-        assert laplace_logcos(src, 2) == expected
+        assert _draw_one("laplace-logcos", src, 2) == expected
 
     def test_forced_symmetric_variant(self):
         # numerator 192 at p=8 puts the cosine in the negated half
         src = ScriptedSource([128, 192, 0, 0], 8)
         expected = math.log(0.5) * -math.cos(math.pi * 0.25)
-        assert laplace_logcos(src, 8, symmetric=True) == expected
+        assert _draw_one("laplace-logcos-sym", src, 8) == expected
 
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_consumes_four_uniforms(self, symmetric):
         src = BitSource(seed=15)
-        laplace_logcos(src, 53, symmetric=symmetric)
+        _draw_one("laplace-logcos-sym" if symmetric else "laplace-logcos", src, 53)
         assert src.uniforms_drawn == 4
 
 
