@@ -164,8 +164,11 @@ def _emit(args, payload: dict, csv_rows: tuple[list[str], list[list]] | None) ->
             lines.append(",".join("" if v is None else repr(v) if isinstance(v, float) else str(v) for v in row))
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _fail(_parser(), f"cannot write {args.out}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 
@@ -385,6 +388,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if not 1 <= args.p <= MAX_PRECISION:
         _fail(parser, f"precision must be in [1, {MAX_PRECISION}], got {args.p}")
+    if args.seed is not None and args.seed < 0:
+        _fail(parser, f"seed must be a non-negative integer, got {args.seed}")
     if getattr(args, "n", None) is not None and args.n < 1:
         _fail(parser, f"divisibility must be a positive integer, got {args.n}")
     if getattr(args, "window", None) is not None and args.window < 0:

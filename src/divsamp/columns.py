@@ -15,9 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .dist import _SQRT_TWO
-
-__all__ = ["COLUMN_MATH", "laplace_cdf", "gaussian_cdf"]
+__all__ = ["COLUMN_MATH"]
 
 
 def _libm(f):
@@ -37,17 +35,3 @@ COLUMN_MATH = SimpleNamespace(
     ldexp=np.ldexp,
 )
 
-
-def laplace_cdf(x: np.ndarray) -> np.ndarray:
-    """:func:`divsamp.dist.laplace_cdf` of every element of ``x``, bit for bit.
-
-    ``exp(-|x|)`` is the scalar form's ``exp(x)`` where ``x <= 0`` and its
-    ``exp(-x)`` elsewhere, so one exponential serves both branches.
-    """
-    e = COLUMN_MATH.exp(-np.abs(x))
-    return np.where(x <= 0.0, 0.5 * e, 1.0 - 0.5 * e)
-
-
-def gaussian_cdf(x: np.ndarray) -> np.ndarray:
-    """:func:`divsamp.dist.gaussian_cdf` of every element of ``x``, bit for bit."""
-    return 0.5 * (1.0 + COLUMN_MATH.erf(x / _SQRT_TWO))

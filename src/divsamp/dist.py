@@ -23,9 +23,14 @@ _SQRT_TWO = math.sqrt(2.0)
 
 def laplace_cdf(x: float) -> float:
     """Standard Laplace CDF: ``e**x / 2`` for x <= 0, else ``1 - e**-x / 2``."""
-    if x <= 0.0:
-        return 0.5 * math.exp(x)
-    return 1.0 - 0.5 * math.exp(-x)
+    return _laplace_cdf(x, math)
+
+
+def _laplace_cdf(x, lm):
+    # h = exp(-|x|) / 2, and up + (1 - 2 up) h is h or 1 - h bit for bit:
+    # the branch in a form numpy also evaluates (lm as in _laplace_quantile)
+    up = x > 0.0
+    return up + (1.0 - 2.0 * up) * (0.5 * lm.exp(-abs(x)))
 
 
 def laplace_inverse_cdf(u: float) -> float:
@@ -55,4 +60,8 @@ def _laplace_quantile(u, lm):
 
 def gaussian_cdf(x: float) -> float:
     """Standard normal CDF ``Phi(x) = (1 + erf(x / sqrt 2)) / 2``."""
-    return 0.5 * (1.0 + math.erf(x / _SQRT_TWO))
+    return _gaussian_cdf(x, math)
+
+
+def _gaussian_cdf(x, lm):
+    return 0.5 * (1.0 + lm.erf(x / _SQRT_TWO))

@@ -21,7 +21,8 @@ Each method's arithmetic is written once, as a *kernel*: a function of
 order, from the zero-argument ``take`` and returns that output (the
 Box-Muller pair kernel returns both halves of the pair), calling
 ``log``, ``cos``, ``sin``, ``sqrt`` and ``ldexp`` on the namespace ``lm``.
-The drawer feeds a kernel single numerators, with ``lm = math``.
+The drawer feeds a kernel single raw numerators, with ``lm = math``; the
+precision is checked once, when the drawer is made.
 :meth:`SamplerMethod.draw` feeds it numpy columns of numerators, one
 element per output, with ``lm =`` :data:`~divsamp.columns.COLUMN_MATH`.
 Sign selections are written ``1 - 2 [condition]``, which Python and
@@ -40,7 +41,7 @@ import numpy as np
 from .columns import COLUMN_MATH
 from .dist import _laplace_quantile
 from .urand import (
-    BitSource, DEFAULT_PRECISION, UniformVariate, check_count, check_precision, next_uniform,
+    BitSource, DEFAULT_PRECISION, UniformVariate, _take_numerator, check_count, check_precision,
 )
 
 DEFAULT_DIVISIBILITY = 4
@@ -66,11 +67,6 @@ __all__ = [
 
 _Take = Callable[[], int]
 _Kernel = Callable[[_Take, int, object], float]
-
-
-def _scalar_take(src: BitSource, p: int) -> _Take:
-    """A ``take`` that draws each numerator through :func:`next_uniform`."""
-    return lambda: next_uniform(src, p).m
 
 
 def _check_divisibility(n: int) -> None:
@@ -163,6 +159,7 @@ class GaussianStream:
         check_precision(p)
         self.src = src
         self.p = p
+        self._take = partial(_take_numerator, src, p)
         self._cache: float | None = None
 
     @property
@@ -176,7 +173,7 @@ class GaussianStream:
             out = self._cache
             self._cache = None
             return out
-        first, self._cache = _bm_pair_kernel(_scalar_take(self.src, self.p), self.p, math)
+        first, self._cache = _bm_pair_kernel(self._take, self.p, math)
         return first
 
 
@@ -260,7 +257,7 @@ class SamplerMethod:
         """Bind the method to a bit source, returning a zero-argument drawer."""
         check_precision(p)
         if self._outputs == 1:
-            return partial(self._kernel, _scalar_take(src, p), p, math)
+            return partial(self._kernel, partial(_take_numerator, src, p), p, math)
         return GaussianStream(src, p).next
 
     def draw(self, src: BitSource, p: int = DEFAULT_PRECISION, count: int = 1) -> list[float]:

@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import columns
-from .dist import gaussian_cdf, laplace_cdf
+from .columns import COLUMN_MATH
+from .dist import _gaussian_cdf, _laplace_cdf, gaussian_cdf, laplace_cdf
 from .sampler import SamplerMethod
 from .urand import BitSource, check_precision
 
@@ -83,17 +83,17 @@ def ks_statistic(samples, cdf: Callable[[float], float]) -> float:
     ``D- = max_i (F(x_(i)) - (i-1)/n)`` over the order statistics.  The
     input need not be pre-sorted.  ``cdf`` is called once per sample, except
     that :func:`divsamp.dist.laplace_cdf` and :func:`~divsamp.dist.gaussian_cdf`
-    are evaluated over the whole sorted sample by their
-    :mod:`divsamp.columns` forms, which give the same bits.
+    are evaluated over the whole sorted sample at once, on
+    :data:`~divsamp.columns.COLUMN_MATH`, which gives the same bits.
     """
     x = np.sort(np.asarray(list(samples), dtype=float))
     n = x.size
     if n == 0:
         raise ValueError("need at least one sample")
     if cdf is laplace_cdf:
-        f = columns.laplace_cdf(x)
+        f = _laplace_cdf(x, COLUMN_MATH)
     elif cdf is gaussian_cdf:
-        f = columns.gaussian_cdf(x)
+        f = _gaussian_cdf(x, COLUMN_MATH)
     else:
         f = np.asarray([cdf(float(v)) for v in x])
     i = np.arange(1, n + 1, dtype=float)

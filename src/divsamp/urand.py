@@ -93,22 +93,29 @@ class BitSource:
     """Uniform random bits, either OS-entropy backed or seeded.
 
     With ``seed=None`` bits come from the operating system's entropy pool
-    (suitable when draws must be unpredictable).  With an integer seed,
-    bits come from a deterministic high-quality generator (Mersenne
-    Twister) so that experiments replay bit-identically; this generator is
-    deliberately distinct from the secure one.
+    (suitable when draws must be unpredictable).  With a non-negative
+    integer seed, bits come from a deterministic high-quality generator
+    (Mersenne Twister) so that experiments replay bit-identically; this
+    generator is deliberately distinct from the secure one.
 
     Attributes:
         uniforms_drawn: number of uniform variates handed out so far.
-        bits_drawn: total random bits consumed so far.
+        bits_drawn: grid bits handed out so far, ``p`` per precision-``p``
+            uniform.  :meth:`numerators` may read more from the generator
+            (whole 32-bit words), and that surplus is not counted.
+
+    Raises:
+        ValueError: for a negative, ``bool`` or non-``int`` seed, which
+            ``random.Random`` would fold onto another (``-1`` onto ``1``).
     """
 
     def __init__(self, seed: int | None = None) -> None:
-        self.seed = seed
         if seed is None:
             self._rng: random.Random = secrets.SystemRandom()
         else:
+            check_count(seed, "seed")
             self._rng = random.Random(seed)
+        self.seed = seed
         self.uniforms_drawn = 0
         self.bits_drawn = 0
 
@@ -131,35 +138,36 @@ class BitSource:
     def numerators(self, p: int, k: int) -> np.ndarray:
         """The numerators of ``k`` successive :func:`next_uniform` calls at precision ``p``.
 
-        Returns exactly what those calls would, advances both counters as
-        they would, and leaves the generator where they would: the next
-        ``getrandbits`` returns the same value.  A seeded source makes one
-        ``getrandbits`` call for all ``k``.  Mersenne Twister serves a
-        request in 32-bit words, least significant first: a ``p <= 32``
-        draw is one word shifted right by ``32 - p``, and a ``p > 32`` draw
-        is a full low word plus a second word shifted right by ``64 - p``.
-        So one ``32 * k`` (or ``64 * k``) bit request holds the ``k``
-        draws' words in order, and they are split out with numpy.  A secure
-        source, or one whose ``getrandbits`` is overridden, is asked for
-        ``p`` bits per numerator, as the scalar path asks.  The numerators
-        come as a ``uint64`` array.
+        Returns exactly what those calls would on a seeded source, advances
+        both counters as they would (``bits_drawn`` by ``p * k``, though
+        whole words are read), and leaves the generator where they would.
+        Every source, seeded or secure, gets one ``getrandbits`` request
+        for all ``k``.  Mersenne Twister serves a request in 32-bit words,
+        least significant first: a ``p <= 32`` draw is one word shifted
+        right by ``32 - p``, and a ``p > 32`` draw is a full low word plus
+        a second word shifted right by ``64 - p``.  So one ``32 * k`` (or
+        ``64 * k``) bit request holds the ``k`` draws' words in order, and
+        they are split out with numpy.  A subclass that replays fixed
+        numerators overrides this method as well as ``getrandbits``.  The
+        numerators come as a ``uint64`` array.
         """
         check_precision(p)
         check_count(k, "numerator count")
-        if self.seed is None or type(self).getrandbits is not BitSource.getrandbits:
-            ms = np.array([self.getrandbits(p) for _ in range(k)], np.uint64)
-        else:
-            words_per_draw = 1 if p <= 32 else 2
-            raw = self.getrandbits(32 * words_per_draw * k).to_bytes(
-                4 * words_per_draw * k, "little")
-            w = np.frombuffer(raw, dtype="<u4").astype(np.uint64)
-            if p <= 32:
-                ms = w >> (32 - p)
-            else:
-                ms = w[0::2] | (w[1::2] >> (64 - p)) << 32
+        words_per_draw = 1 if p <= 32 else 2
+        raw = self.getrandbits(32 * words_per_draw * k).to_bytes(4 * words_per_draw * k, "little")
+        w = np.frombuffer(raw, dtype="<u4").astype(np.uint64)
+        ms = w >> (32 - p) if p <= 32 else w[0::2] | (w[1::2] >> (64 - p)) << 32
         self.uniforms_drawn += k
         self.bits_drawn += p * k
         return ms
+
+
+def _take_numerator(src: BitSource, p: int) -> int:
+    """One precision-``p`` numerator from ``src``, counted; ``p`` unchecked."""
+    m = src.getrandbits(p)
+    src.uniforms_drawn += 1
+    src.bits_drawn += p
+    return m
 
 
 def next_uniform(src: BitSource, p: int = DEFAULT_PRECISION) -> UniformVariate:
@@ -170,10 +178,7 @@ def next_uniform(src: BitSource, p: int = DEFAULT_PRECISION) -> UniformVariate:
     sampler used.
     """
     check_precision(p)
-    m = src.getrandbits(p)
-    src.uniforms_drawn += 1
-    src.bits_drawn += p
-    return UniformVariate(m, p)
+    return UniformVariate(_take_numerator(src, p), p)
 
 
 def grid_round(x: float, p: int) -> int:

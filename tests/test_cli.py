@@ -141,6 +141,7 @@ class TestSample:
             ["sample", "--epsilon", "1e-320"],
             ["sample", "--method", "laplace-logcos", "--epsilon", "1e-308",
              "--seed", "1", "--count", "200"],
+            ["sample", "--seed", "-1", "--count", "3"],
         ],
     )
     def test_usage_errors(self, argv, capsys):
@@ -250,6 +251,7 @@ class TestAttack:
             ["attack", "--seed", "1", "--window", "100000000", "--max-queries", "2"],
             ["attack", "--attack", "gaussian-pair", "--method", "box-muller",
              "--window", "128", "--seed", "1"],
+            ["attack", "--seed", "-1"],
         ],
     )
     def test_usage_errors(self, argv, capsys):
@@ -364,6 +366,7 @@ class TestVerify:
             ["verify", "--epsilon", "1e-200", "--count", "1000", "--seed", "1"],
             # naive-laplace emits only 0.0 at p=1: no variance to check
             ["verify", "--p", "1", "--seed", "0", "--count", "10"],
+            ["verify", "--seed", "-1", "--count", "100"],
         ],
     )
     def test_usage_errors(self, argv, capsys):
@@ -416,6 +419,7 @@ class TestComplexity:
             ["complexity", "--p", "0"],
             ["complexity", "--p", "60", "--theoretical-only"],
             ["complexity", "--p", "8", "--count", "0"],
+            ["complexity", "--p", "8", "--count", "5", "--seed", "-1"],
         ],
     )
     def test_usage_errors(self, argv, capsys):
@@ -449,6 +453,17 @@ class TestTopLevel:
         assert out == (DATA / "sample_naive_seed42.json").read_text()
         assert run_cli(bad, capsys) == (2, "", first_err)
         assert build_parser() is not build_parser()
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--seed", "1", "--out", "{tmp}/missing/x.json"],
+        ["verify", "--seed", "1", "--count", "5000", "--out", "{tmp}"],
+    ])
+    def test_unwritable_out(self, argv, capsys, tmp_path):
+        # a usage error naming the path, not an OSError traceback
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].startswith(f"divsamp: error: cannot write {argv[-1]}: ")
 
     def test_entry_point_installed(self):
         tomllib = pytest.importorskip("tomllib")

@@ -1,4 +1,4 @@
-"""The columnar libm shims and CDFs against the scalar ``math`` forms, bit for bit.
+"""The columnar libm shims, and the CDFs on them, against the scalar ``math`` forms, bit for bit.
 
 Each shim is compared over 10**5 seeded p=53 grid inputs, in the range
 the kernels or CDFs feed it, plus edge values.  A shim swapped for numpy's
@@ -14,9 +14,10 @@ import random
 import numpy as np
 import pytest
 
-from divsamp import columns
 from divsamp.columns import COLUMN_MATH
-from divsamp.dist import gaussian_cdf, laplace_cdf, laplace_inverse_cdf
+from divsamp.dist import (
+    _gaussian_cdf, _laplace_cdf, gaussian_cdf, laplace_cdf, laplace_inverse_cdf,
+)
 
 N = 100_000
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 745.0, -745.0, 40.0, -40.0]
@@ -117,11 +118,14 @@ def test_range_errors_as_in_math():
         COLUMN_MATH.exp(np.array([-1.0, 745.0]))
 
 
-@pytest.mark.parametrize("column_cdf,scalar_cdf", [
-    (columns.laplace_cdf, laplace_cdf),
-    (columns.gaussian_cdf, gaussian_cdf),
-])
-def test_columnar_cdf_matches_scalar(column_cdf, scalar_cdf):
+@pytest.mark.parametrize("form,scalar_cdf", [
+    (_laplace_cdf, laplace_cdf),
+    (_gaussian_cdf, gaussian_cdf),
+], ids=["laplace_cdf-laplace_cdf", "gaussian_cdf-gaussian_cdf"])
+def test_columnar_cdf_matches_scalar(form, scalar_cdf):
+    def column_cdf(x):
+        return form(x, COLUMN_MATH)
+
     x = _arguments("cdf", SAMPLE)
     assert x.size > N
     assert np.array_equal(_bits(column_cdf(x)), _bits(_libm(scalar_cdf, x)))
@@ -130,3 +134,6 @@ def test_columnar_cdf_matches_scalar(column_cdf, scalar_cdf):
     assert np.array_equal(_bits(column_cdf(y)), _bits(_libm(scalar_cdf, y)))
     if scalar_cdf is laplace_cdf:
         _assert_sample_separates("cdf", laplace_cdf)
+        # and the branch form e**x / 2, 1 - e**-x / 2 the CDF is defined by
+        branch = [0.5 * math.exp(v) if v <= 0.0 else 1.0 - 0.5 * math.exp(-v) for v in x.tolist()]
+        assert np.array_equal(_bits(column_cdf(x)), _bits(branch))

@@ -30,7 +30,7 @@ from divsamp.sampler import (
 from divsamp.stats import ks_critical_value, ks_statistic
 from divsamp.urand import BitSource, EntropyError, UniformVariate
 
-from conftest import ScriptedSource
+from conftest import RecordingRng, ScriptedSource
 
 
 def _draw_one(name, src, p, n=None):
@@ -410,6 +410,14 @@ class TestBulkDraw:
         assert len(xs) == 7 and all(math.isfinite(x) for x in xs)
         uniforms = method.uniforms_per_draw * (8 if name == "box-muller" else 7)
         assert (src.uniforms_drawn, src.bits_drawn) == (uniforms, 53 * uniforms)
+
+    def test_secure_source_one_request_per_batch(self, monkeypatch):
+        src = BitSource()
+        rng = RecordingRng(src._rng)
+        monkeypatch.setattr(src, "_rng", rng)
+        count = 2 * DRAW_BATCH_UNIFORMS + 5
+        assert len(get_method("naive-laplace").draw(src, 53, count)) == count
+        assert rng.requests == [64 * DRAW_BATCH_UNIFORMS] * 2 + [64 * 5]
 
     def test_secure_entropy_failure(self, monkeypatch):
         class Failing:

@@ -17,6 +17,8 @@ from divsamp.urand import (
     round_to_variate,
 )
 
+from conftest import RecordingRng
+
 
 class TestUniformVariate:
     def test_value_is_exact_dyadic(self):
@@ -75,6 +77,12 @@ class TestBitSource:
         assert src.uniforms_drawn == 7
         assert src.bits_drawn == 77
 
+    # random.Random seeds from abs(seed), so -1 would replay 1, and True 1
+    @pytest.mark.parametrize("seed", [-1, -7, True, False, 1.0, "1"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            BitSource(seed=seed)
+
 
 class _FailingEntropy:
     def getrandbits(self, k):
@@ -111,6 +119,25 @@ class TestNumerators:
         ms = src.numerators(12, 50)
         assert len(ms) == 50 and all(0 <= m < 1 << 12 for m in ms)
         assert (src.uniforms_drawn, src.bits_drawn) == (50, 600)
+
+    @pytest.mark.parametrize("p,k", [(12, 50), (32, 7), (33, 7), (53, 1000)])
+    def test_secure_source_makes_one_request(self, p, k, monkeypatch):
+        src = BitSource()
+        rng = RecordingRng(src._rng)
+        monkeypatch.setattr(src, "_rng", rng)
+        assert len(src.numerators(p, k)) == k
+        assert rng.requests == [(32 if p <= 32 else 64) * k]
+
+    @pytest.mark.parametrize("p", [1, 8, 32, 33, 53])
+    def test_secure_source_splits_as_seeded(self, p, monkeypatch):
+        # the secure path is the seeded one with another generator behind it
+        secure, seeded = BitSource(), BitSource(seed=9_000 + p)
+        monkeypatch.setattr(secure, "_rng", random.Random(9_000 + p))
+        assert secure.numerators(p, 300).tolist() == seeded.numerators(p, 300).tolist()
+        assert (secure.uniforms_drawn, secure.bits_drawn) == (300, 300 * p)
+        assert (secure.uniforms_drawn, secure.bits_drawn) == (
+            seeded.uniforms_drawn, seeded.bits_drawn)
+        assert secure.getrandbits(40) == seeded.getrandbits(40)
 
     def test_secure_failure_raises_entropy_error(self, monkeypatch):
         src = BitSource()
