@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from .dist import laplace_cdf
 from .sampler import (
@@ -31,7 +31,7 @@ from .sampler import (
     naive_laplace_from_numerator,
 )
 from .urand import (
-    DEFAULT_PRECISION, UniformVariate, check_count, check_precision, grid_round, grid_window,
+    DEFAULT_PRECISION, UniformVariate, check_count, check_precision, grid_round,
 )
 
 DEFAULT_WINDOW = 2
@@ -101,12 +101,15 @@ class AttackOutcome:
     observed queries — the noise did not come from the assumed sampler), or
     ``"budget_exhausted"``.  ``trace`` records, per oracle round, the query
     value(s) and the candidates eliminated in that round.
+    ``survival_checks`` counts the survival checks run: one per candidate
+    still alive at each round.
     """
 
     status: str
     value: float | None
     queries_used: int
     trace: list[tuple] = field(default_factory=list)
+    survival_checks: int = 0
 
 
 def _campaign_candidates(
@@ -145,8 +148,10 @@ def _eliminate(
     if len(candidates) == 1:
         return AttackOutcome("identified", candidates[0], 0, [])
     trace: list[tuple] = []
+    checks = 0
     while candidates and oracle.call_count + arity <= max_queries:
         q = oracle.query() if arity == 1 else tuple(oracle.query() for _ in range(arity))
+        checks += len(candidates)
         survivors: list[float] = []
         eliminated: list[float] = []
         for c in candidates:
@@ -154,17 +159,31 @@ def _eliminate(
         trace.append((q, eliminated))
         candidates = survivors
     if len(candidates) == 1:
-        return AttackOutcome("identified", candidates[0], oracle.call_count, trace)
+        return AttackOutcome("identified", candidates[0], oracle.call_count, trace, checks)
     if not candidates:
-        return AttackOutcome("all_eliminated", None, oracle.call_count, trace)
-    return AttackOutcome("budget_exhausted", None, oracle.call_count, trace)
+        return AttackOutcome("all_eliminated", None, oracle.call_count, trace, checks)
+    return AttackOutcome("budget_exhausted", None, oracle.call_count, trace, checks)
+
+
+def _nearest_first(m: int, p: int, w: int) -> Iterator[int]:
+    # grid_window(m, p, w)'s numerators in the order m, m-1, m+1, m-2, ...,
+    # truncated at the grid edges.  The true grid point is almost always m
+    # itself, and a survival check is an any() over its window, so visiting
+    # nearest-first stops a surviving check early without changing a result.
+    yield m
+    lo, hi = max(0, m - w), min((1 << p) - 1, m + w)
+    for d in range(1, max(m - lo, hi - m) + 1):
+        if m - d >= lo:
+            yield m - d
+        if m + d <= hi:
+            yield m + d
 
 
 def _laplace_survives(q: float, c: float, p: int, w: int, scale: float) -> bool:
     # Round the implied uniform onto the grid, then ask whether any grid
     # point within w steps pushes forward to the query bit-exactly.
     m = grid_round(laplace_cdf((q - c) / scale), p)
-    for k in grid_window(m, p, w):
+    for k in _nearest_first(m, p, w):
         if scale * naive_laplace_from_numerator(k, p) + c == q:
             return True
     return False
@@ -242,12 +261,22 @@ def _pair_survives(
         return c + scale * bm_cos(0.0, 0.0) == q1 and c + scale * bm_sin(0.0, 0.0) == q2
     u1, u2 = invert_box_muller(n1, n2)
     # bm_cos and bm_sin factored by grid point: one radius per u1 and one
-    # cosine per u2, combined by the same IEEE operations in the same order.
-    angles = [TWO_PI * math.ldexp(m2, -p) for m2 in grid_window(grid_round(u2, p), p, w)]
-    trig = [(math.cos(angle), angle) for angle in angles]
-    for m1 in grid_window(grid_round(u1, p), p, w):
+    # angle and cosine per u2, combined by the same IEEE operations in the
+    # same order; the sine is taken only once the cosine half matches.  Both
+    # axes go nearest-first.  The first row computes each u2's angle and
+    # cosine on first use, so a check that matches early skips the rest;
+    # a row that does not match leaves all of them in ``trig`` for the next.
+    fresh = _nearest_first(grid_round(u2, p), p, w)
+    trig: list[tuple[float, float]] = []
+    for m1 in _nearest_first(grid_round(u1, p), p, w):
         r = bm_radius(math.ldexp(m1, -p))
         for cos_angle, angle in trig:
+            if c + scale * (r * cos_angle) == q1 and c + scale * (r * math.sin(angle)) == q2:
+                return True
+        for m2 in fresh:
+            angle = TWO_PI * math.ldexp(m2, -p)
+            cos_angle = math.cos(angle)
+            trig.append((cos_angle, angle))
             if c + scale * (r * cos_angle) == q1 and c + scale * (r * math.sin(angle)) == q2:
                 return True
     return False

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
+from typing import Callable
 
 from . import attack as attack_mod
 from . import dist, stats
@@ -149,11 +150,49 @@ def _noise_scale(parser, args, method) -> float:
     return scale
 
 
-def _emit(args, payload: dict, csv_rows: tuple[list[str], list[list]] | None) -> None:
+# The types json.dumps writes, in the order its own isinstance checks take
+# them; None, True and False it matches by identity first.
+_JSON_KINDS = (str, int, float, list, tuple, dict)
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json(value, pad: str = "\n") -> str:
+    # json.dumps(value, indent=2), byte for byte, for dicts with str keys.
+    # On Python 3.11 ``indent`` turns off json's C encoder, and its pure
+    # Python fallback takes about twice as long as this on an attack report.
+    kind = type(value)
+    if kind not in _JSON_KINDS:
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        kind = next((k for k in _JSON_KINDS if isinstance(value, k)), None)
+        if kind is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if kind is float:
+        text = float.__repr__(value)
+        return _JSON_FLOATS.get(text, text)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = pad + "  "
+    if kind is dict:  # encode_basestring_ascii raises TypeError on a key that is no str
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return f"{{{inner}" + f",{inner}".join(items) + f"{pad}}}"
+    return f"[{inner}" + f",{inner}".join([_json(v, inner) for v in value]) + f"{pad}]"
+
+
+def _emit(args, payload: dict, csv_rows: Callable[[], tuple[list[str], list[list]]]) -> None:
+    # ``csv_rows`` builds the header and rows; it runs only for --format csv
     if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json(payload) + "\n"
     else:
-        header, rows = csv_rows
+        header, rows = csv_rows()
         meta = " ".join(
             f"{k}={'' if v is None else v}"
             for k, v in payload.items()
@@ -193,8 +232,7 @@ def _run_sample(parser, args) -> int:
         "count": args.count,
         "values": values,
     }
-    rows = [[i, v] for i, v in enumerate(values)]
-    _emit(args, payload, (["index", "value"], rows))
+    _emit(args, payload, lambda: (["index", "value"], [[i, v] for i, v in enumerate(values)]))
     return EXIT_OK
 
 
@@ -226,7 +264,8 @@ def _run_attack(parser, args) -> int:
         _fail(parser, wrong_family)
     if args.window is not None:
         w = args.window
-    drawer = method.make_drawer(BitSource(args.seed), args.p)
+    src = BitSource(args.seed)
+    drawer = method.make_drawer(src, args.p)
     oracle = attack_mod.QueryOracle(target, lambda: scale * drawer())
     try:
         outcome = campaign(
@@ -250,16 +289,20 @@ def _run_attack(parser, args) -> int:
         "identified": outcome.value,
         "queries_used": outcome.queries_used,
         "trace": [
-            {"query": list(q) if isinstance(q, tuple) else q, "eliminated": elim}
+            {"query": q, "eliminated": elim}  # a pair query is written as a list
             for q, elim in outcome.trace
         ],
+        "cost": {
+            "uniforms_drawn": src.uniforms_drawn,
+            "bits_drawn": src.bits_drawn,
+            "survival_checks": outcome.survival_checks,
+        },
     }
-    rows = [
+    _emit(args, payload, lambda: (["round", "query", "eliminated"], [
         [i, q if not isinstance(q, tuple) else ";".join(repr(v) for v in q),
          ";".join(repr(c) for c in elim)]
         for i, (q, elim) in enumerate(outcome.trace)
-    ]
-    _emit(args, payload, (["round", "query", "eliminated"], rows))
+    ]))
     return EXIT_OK if outcome.status == "identified" else EXIT_FAIL
 
 
@@ -333,11 +376,10 @@ def _run_verify(parser, args) -> int:
         "pass": ks_pass and var_pass,
         "cost": {"uniforms_drawn": src.uniforms_drawn, "bits_drawn": src.bits_drawn},
     }
-    rows = [
+    _emit(args, payload, lambda: (["check", "value", "reference", "pass"], [
         ["ks", stat, critical, ks_pass],
         ["variance", summary.variance, ref_variance, var_pass],
-    ]
-    _emit(args, payload, (["check", "value", "reference", "pass"], rows))
+    ]))
     return EXIT_OK if payload["pass"] else EXIT_FAIL
 
 
@@ -356,7 +398,7 @@ def _run_complexity(parser, args) -> int:
     if args.theoretical_only:
         payload["empirical_mean_checks"] = None
         payload["ratio"] = None
-        _emit(args, payload, (["quantity", "value"], rows))
+        _emit(args, payload, lambda: (["quantity", "value"], rows))
         return EXIT_OK
     if args.p > attack_mod.BRUTE_FORCE_MAX_PRECISION:
         _fail(
@@ -379,7 +421,7 @@ def _run_complexity(parser, args) -> int:
     payload["ratio"] = empirical / theoretical
     rows.append(["empirical_mean_checks", empirical])
     rows.append(["ratio", payload["ratio"]])
-    _emit(args, payload, (["quantity", "value"], rows))
+    _emit(args, payload, lambda: (["quantity", "value"], rows))
     return EXIT_OK
 
 

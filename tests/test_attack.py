@@ -29,7 +29,8 @@ from divsamp.attack import (
     invert_box_muller,
     mironov_attack,
 )
-from divsamp.attack import _laplace_survives, _pair_survives
+from divsamp import attack
+from divsamp.attack import _laplace_survives, _nearest_first, _pair_survives
 from divsamp.dist import laplace_cdf
 from divsamp.sampler import (
     GaussianStream,
@@ -39,7 +40,9 @@ from divsamp.sampler import (
     naive_laplace_from_numerator,
     naive_laplace_from_variate,
 )
-from divsamp.urand import BitSource, UniformVariate, neighbors, next_uniform, round_to_variate
+from divsamp.urand import (
+    BitSource, UniformVariate, grid_window, neighbors, next_uniform, round_to_variate,
+)
 
 # invalid campaign arguments shared by both attacks; each must be rejected
 # before the first query
@@ -136,6 +139,16 @@ class TestMironovAttack:
         out = mironov_attack(oracle, cands, max_queries=30)
         eliminated = [c for _, gone in out.trace for c in gone]
         assert sorted(eliminated + [out.value]) == sorted(cands)
+
+    def test_survival_checks_count_live_candidates(self):
+        oracle = QueryOracle(0.5, get_method("naive-laplace").make_drawer(BitSource(seed=9050)))
+        out = mironov_attack(oracle, [-2.0, 0.5, 3.0], max_queries=30)
+        alive, checks = 3, 0
+        for _, gone in out.trace:
+            checks += alive
+            alive -= len(gone)
+        assert out.survival_checks == checks
+        assert mironov_attack(oracle, [1.0]).survival_checks == 0
 
     @pytest.mark.parametrize("kwargs", BAD_CAMPAIGN_KWARGS)
     def test_bad_parameters(self, kwargs):
@@ -282,6 +295,58 @@ def reference_pair_survives(q1, q2, c, p, w, scale):
         for a in neighbors(round_to_variate(u1, p), w)
         for b in neighbors(round_to_variate(u2, p), w)
     )
+
+
+class TestNearestFirst:
+    """The survival checks' window order: the same numerators as grid_window, nearest first."""
+
+    @pytest.mark.parametrize("m,p,w,expected", [
+        (5, 4, 2, [5, 4, 6, 3, 7]),
+        (5, 4, 0, [5]),
+        (0, 4, 2, [0, 1, 2]),
+        (15, 4, 2, [15, 14, 13]),
+        (1, 4, 3, [1, 0, 2, 3, 4]),
+        (0, 1, 2, [0, 1]),
+        (1, 1, 2, [1, 0]),
+        (2, 2, 100, [2, 1, 3, 0]),
+        (2**53 - 1, 53, 2, [2**53 - 1, 2**53 - 2, 2**53 - 3]),
+    ])
+    def test_examples(self, m, p, w, expected):
+        assert list(_nearest_first(m, p, w)) == expected
+
+    @given(st.data())
+    def test_same_numerators_nearest_first(self, data):
+        p = data.draw(st.integers(min_value=1, max_value=53), label="p")
+        m = data.draw(st.integers(min_value=0, max_value=(1 << p) - 1), label="m")
+        w = data.draw(st.integers(min_value=0, max_value=40), label="w")
+        order = list(_nearest_first(m, p, w))
+        # sorted() is stable, so among equal distances m - d comes before m + d
+        assert order == sorted(grid_window(m, p, w), key=lambda k: abs(k - m))
+
+    @pytest.mark.parametrize("target", [0.0, 1.0, -0.375])
+    @pytest.mark.parametrize("p", [8, 53])
+    def test_true_candidate_check_evaluates_one_point(self, target, p, monkeypatch):
+        # whenever q - target gives the draw back exactly, the implied
+        # uniform rounds to the draw's own numerator, the first one visited
+        evaluations = []
+
+        def counted(m, p):
+            evaluations.append(m)
+            return naive_laplace_from_numerator(m, p)
+
+        monkeypatch.setattr(attack, "naive_laplace_from_numerator", counted)
+        draw = get_method("naive-laplace").make_drawer(BitSource(seed=9400), p)
+        checked = 0
+        for _ in range(500):
+            x = draw()
+            q = target + x
+            if q - target != x:
+                continue
+            evaluations.clear()
+            assert _laplace_survives(q, target, p, DEFAULT_WINDOW, 1.0)
+            assert len(evaluations) == 1
+            checked += 1
+        assert checked >= 250
 
 
 class TestSurvivalChecksAgainstVariateReference:
@@ -523,3 +588,4 @@ class TestDefaults:
     def test_outcome_dataclass_defaults(self):
         out = AttackOutcome("identified", 1.0, 3)
         assert out.trace == []
+        assert out.survival_checks == 0

@@ -9,6 +9,7 @@ and, where one is installed, through the ``divsamp`` executable.
 """
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -17,9 +18,11 @@ from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import divsamp
-from divsamp.cli import EXIT_FAIL, EXIT_OK, build_parser, main
+from divsamp.cli import EXIT_FAIL, EXIT_OK, _json, build_parser, main
 from divsamp.dist import gaussian_cdf, laplace_cdf
 from divsamp.sampler import get_method, method_names
 from divsamp.stats import ks_p_value, ks_statistic
@@ -35,14 +38,20 @@ GOLDEN_ARGV = ["sample", "--method", "naive-laplace", "--p", "53",
                "--seed", "42", "--count", "3"]
 DEFENDED_ARGV = ["attack", "--method", "laplace-logcos", "--seed", "1003",
                  "--candidates", "0.0,1.0", "--max-queries", "40"]
-# attack reports pinned byte for byte: golden file name -> argv
+# attack reports pinned byte for byte: golden file name -> argv and the
+# report's cost object, which the golden files predate
 GOLDEN_ATTACKS = {
-    "attack_mironov_seed1.json": ["attack", "--seed", "1"],
-    "attack_pair_box_muller_seed1.json": [
-        "attack", "--attack", "gaussian-pair", "--method", "box-muller",
-        "--candidates", "0.0,1.0", "--seed", "1",
-    ],
+    "attack_mironov_seed1.json": (
+        ["attack", "--seed", "1"],
+        {"uniforms_drawn": 100, "bits_drawn": 5300, "survival_checks": 101},
+    ),
+    "attack_pair_box_muller_seed1.json": (
+        ["attack", "--attack", "gaussian-pair", "--method", "box-muller",
+         "--candidates", "0.0,1.0", "--seed", "1"],
+        {"uniforms_drawn": 100, "bits_drawn": 5300, "survival_checks": 51},
+    ),
 }
+COST_KEY = ',\n  "cost": '
 
 # what an installer's console-script wrapper does, with the entry point's
 # value passed as the first argument instead of baked in
@@ -154,9 +163,23 @@ class TestSample:
 class TestAttack:
     @pytest.mark.parametrize("name", sorted(GOLDEN_ATTACKS))
     def test_matches_golden_file(self, name, capsys):
-        code, out, _ = run_cli(GOLDEN_ATTACKS[name], capsys)
+        argv, cost = GOLDEN_ATTACKS[name]
+        code, out, _ = run_cli(argv, capsys)
         assert code == EXIT_OK
-        assert out == (DATA / name).read_text()
+        # the cost object comes last; the rest of the report is the golden file
+        head, key, _ = out.rpartition(COST_KEY)
+        assert key == COST_KEY
+        assert head + "\n}\n" == (DATA / name).read_text()
+        assert json.loads(out)["cost"] == cost
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ATTACKS))
+    def test_csv_matches_golden_file(self, name, capsys):
+        # the same argv with --format csv, pinned at the commit before the
+        # cost object, so the meta line must still leave it out
+        argv, _ = GOLDEN_ATTACKS[name]
+        code, out, _ = run_cli([*argv, "--format", "csv"], capsys)
+        assert code == EXIT_OK
+        assert out == (DATA / name).with_suffix(".csv").read_text()
 
     def test_mironov_identifies_naive_target(self, capsys):
         code, out, _ = run_cli(
@@ -426,6 +449,52 @@ class TestComplexity:
         code, _, err = run_cli(argv, capsys)
         assert code == 2
         assert err != ""
+
+
+# report-shaped JSON trees: str keys; nested dicts, lists, tuples and empty
+# containers; every float json writes specially; big ints, bools and None;
+# strings with non-ASCII and control characters
+json_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e16, 1e-5]),
+)
+json_strings = st.one_of(st.text(), st.sampled_from(["é", "\x00\x1f\x7f", "\u2028", "😀", '"\\/']))
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**63, max_value=2**200),
+    json_floats, json_strings,
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(json_strings, kids, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+class TestJsonWriter:
+    """``cli._json`` writes what ``json.dumps(value, indent=2)`` writes, byte for byte."""
+
+    @given(json_trees)
+    @settings(max_examples=200)
+    def test_matches_json_dumps(self, tree):
+        assert _json(tree) + "\n" == json.dumps(tree, indent=2) + "\n"
+
+    def test_float_subclass_written_as_float(self):
+        class Tagged(float):
+            def __repr__(self):
+                return "tagged"
+
+        value = {"x": Tagged(0.1), "y": [Tagged(math.inf)]}
+        assert _json(value) == json.dumps(value, indent=2)
+        assert "tagged" not in _json(value)
+
+    @pytest.mark.parametrize("value", [{1, 2}, {"x": [set()]}, {1: 2}, b"x"])
+    def test_unserializable_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            _json(value)
 
 
 class TestTopLevel:
