@@ -14,10 +14,9 @@ Run:  python demos/04_output_space_census.py
 
 from divsamp import (
     BitSource,
-    UniformVariate,
     distinct_output_count,
     get_method,
-    naive_laplace_from_variate,
+    naive_laplace_from_numerator,
 )
 
 P = 8
@@ -35,7 +34,7 @@ for name in ("naive-laplace", "laplace-expdiff", "laplace-logcos", "box-muller")
 # onto numerator 1, so the image has 255 members.  An attacker checks
 # membership in this set by rounding back and re-evaluating forward.
 
-image = sorted({naive_laplace_from_variate(UniformVariate(m, P)) for m in range(2**P)})
+image = sorted({naive_laplace_from_numerator(m, P) for m in range(2**P)})
 print()
 print(f"naive image size at p={P}: {len(image)}")
 print("five smallest:", [round(v, 4) for v in image[:5]])

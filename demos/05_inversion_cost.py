@@ -24,13 +24,13 @@ from divsamp import (
     expected_checks,
 )
 from divsamp.sampler import bm_cos
-from divsamp.urand import UniformVariate
 
 # --- the feasible window for one concrete output ----------------------------
+# A grid point is its integer numerator m, standing for u = m / 2^P.
 
 P = 12
-u1, u2 = UniformVariate(2500, P), UniformVariate(600, P)
-n1 = bm_cos(u1.value, u2.value)
+m1, m2 = 2500, 600
+n1 = bm_cos(m1 / 2**P, m2 / 2**P)
 
 window = count_feasible_checks(n1, P)
 print(f"output n1 = {n1:.6f} at p = {P}")
@@ -44,7 +44,7 @@ result = brute_force_single_gaussian(n1, P)
 elapsed = time.perf_counter() - t0
 print(f"search examined {result.checks} u1 candidates in {elapsed * 1e3:.1f} ms")
 print(f"exact preimages found: {len(result.pairs)}")
-print("planted pair recovered:", (u1, u2) in result.pairs)
+print("planted pair recovered:", (m1, m2) in result.pairs)
 
 # --- the average window matches the model -----------------------------------
 # Averaging the window size over standard normal outputs gives

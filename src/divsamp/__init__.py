@@ -30,7 +30,7 @@ from .sampler import (
     SamplerMethod,
     get_method,
     method_names,
-    naive_laplace_from_variate,
+    naive_laplace_from_numerator,
 )
 from .stats import (
     MomentSummary,
@@ -78,7 +78,7 @@ __all__ = [
     "method_names",
     "mironov_attack",
     "moments",
-    "naive_laplace_from_variate",
+    "naive_laplace_from_numerator",
     "neighbors",
     "next_uniform",
     "round_to_variate",

@@ -30,9 +30,7 @@ from .sampler import (
     bm_sin,
     naive_laplace_from_numerator,
 )
-from .urand import (
-    DEFAULT_PRECISION, UniformVariate, check_count, check_precision, grid_round,
-)
+from .urand import DEFAULT_PRECISION, check_count, check_precision, grid_round
 
 DEFAULT_WINDOW = 2
 DEFAULT_PAIR_WINDOW = 4
@@ -154,8 +152,12 @@ def _eliminate(
         checks += len(candidates)
         survivors: list[float] = []
         eliminated: list[float] = []
-        for c in candidates:
-            (survivors if survives(q, c) else eliminated).append(c)
+        if (math.isnan(q) if arity == 1 else any(map(math.isnan, q))):
+            # no grid point maps to NaN: the round eliminates every candidate
+            eliminated = candidates
+        else:
+            for c in candidates:
+                (survivors if survives(q, c) else eliminated).append(c)
         trace.append((q, eliminated))
         candidates = survivors
     if len(candidates) == 1:
@@ -345,19 +347,19 @@ def expected_checks(p: int) -> float:
 class BruteForceResult:
     """Outcome of a full single-output search.
 
-    ``pairs`` holds every grid pair whose forward cosine-branch evaluation
-    reproduces the target bit-exactly; ``checks`` counts the ``u1``
-    candidates examined, the cost measure the search-size model predicts.
+    ``pairs`` holds the numerators ``(m1, m2)`` of every grid pair whose
+    cosine-branch output is the target bit for bit; ``checks`` counts the
+    ``u1`` candidates examined, the cost measure the search-size model predicts.
     """
 
-    pairs: list[tuple[UniformVariate, UniformVariate]]
+    pairs: list[tuple[int, int]]
     checks: int
 
 
 def brute_force_single_gaussian(
     n1: float, p: int, w: int = DEFAULT_WINDOW
 ) -> BruteForceResult:
-    """Recover every uniform pair that maps to cosine-branch output ``n1``.
+    """Recover every grid pair ``(m1, m2)`` that maps to cosine-branch output ``n1``.
 
     Walks the feasible ``u1`` window (padded by ``w`` grid steps below its
     analytic edge to absorb boundary rounding).  For each ``u1`` the angle
@@ -384,36 +386,23 @@ def brute_force_single_gaussian(
     # every angle window then covers [0, size).
     w = min(w, size)
     top = size - 1
-    pairs: list[tuple[UniformVariate, UniformVariate]] = []
-    checks = 0
-
-    if n1 == 0.0:
-        # Zero radius: u1 = 0 reproduces 0.0 for every angle, and no
-        # positive radius can (cos never vanishes exactly on the grid).
-        # The whole unit interval is feasible, so every u1 is examined.
-        checks = size
-        for m2 in range(size):
-            u2 = UniformVariate(m2, p)
-            if bm_cos(0.0, u2.value) == n1:
-                pairs.append((UniformVariate(0, p), u2))
-        return BruteForceResult(pairs, checks)
-
-    lo = size - count_feasible_checks(n1, p)
-    start = max(0, lo - w)
+    pairs: list[tuple[int, int]] = []
+    start = max(0, size - count_feasible_checks(n1, p) - w)
     ldexp = math.ldexp
     acos = math.acos
     cos = math.cos
     for m1 in range(start, size):
-        checks += 1
-        u1_val = ldexp(m1, -p)
-        r = bm_radius(u1_val)
+        r = bm_radius(ldexp(m1, -p))
         if r == 0.0:
+            # m1 = 0: the zero radius gives ±0.0 at every angle, and no other
+            # radius does, because cos never vanishes exactly on the grid
+            if n1 == 0.0:
+                pairs += [(0, m2) for m2 in range(size)]
             continue
         t = n1 / r
+        # |fl(r cos)| <= r, so an n1 beyond the radius has no preimage here
         if abs(t) > 1.0:
-            if abs(t) > 1.0 + 1e-12:
-                continue
-            t = math.copysign(1.0, t)
+            continue
         theta = acos(t)
         m2_seen: set[int] = set()
         for u2_real in (theta / TWO_PI, 1.0 - theta / TWO_PI):
@@ -423,5 +412,5 @@ def brute_force_single_gaussian(
                     continue
                 m2_seen.add(m2)
                 if r * cos(TWO_PI * ldexp(m2, -p)) == n1:
-                    pairs.append((UniformVariate(m1, p), UniformVariate(m2, p)))
-    return BruteForceResult(pairs, checks)
+                    pairs.append((m1, m2))
+    return BruteForceResult(pairs, size - start)

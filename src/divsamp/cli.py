@@ -384,10 +384,7 @@ def _run_verify(parser, args) -> int:
 
 
 def _run_complexity(parser, args) -> int:
-    try:
-        theoretical = attack_mod.expected_checks(args.p)
-    except ValueError as exc:
-        _fail(parser, str(exc))
+    theoretical = attack_mod.expected_checks(args.p)
     payload = {
         "command": "complexity",
         "p": args.p,

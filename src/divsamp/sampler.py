@@ -40,9 +40,7 @@ import numpy as np
 
 from .columns import COLUMN_MATH
 from .dist import _laplace_quantile
-from .urand import (
-    BitSource, DEFAULT_PRECISION, UniformVariate, _take_numerator, check_count, check_precision,
-)
+from .urand import BitSource, DEFAULT_PRECISION, _take_numerator, check_count, check_precision
 
 DEFAULT_DIVISIBILITY = 4
 TWO_PI = 2.0 * math.pi
@@ -55,7 +53,6 @@ __all__ = [
     "DEFAULT_DIVISIBILITY",
     "DRAW_BATCH_UNIFORMS",
     "naive_laplace_from_numerator",
-    "naive_laplace_from_variate",
     "bm_radius",
     "bm_cos",
     "bm_sin",
@@ -90,11 +87,6 @@ def naive_laplace_from_numerator(m: int, p: int) -> float:
 def _naive_laplace(m, p: int, lm):
     # m + (m == 0) is ``m or 1`` in a form numpy also evaluates per element
     return _laplace_quantile(lm.ldexp(m + (m == 0), -p), lm)
-
-
-def naive_laplace_from_variate(u: UniformVariate) -> float:
-    """:func:`naive_laplace_from_numerator` applied to a variate."""
-    return naive_laplace_from_numerator(u.m, u.p)
 
 
 def _naive_kernel(take: _Take, p: int, lm) -> float:

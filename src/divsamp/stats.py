@@ -76,6 +76,13 @@ def ks_p_value(statistic: float, n: int) -> float:
     return min(max(p, 0.0), 1.0)
 
 
+def _finite_sample(samples) -> np.ndarray:
+    a = np.asarray(list(samples), dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("samples must be finite")
+    return a
+
+
 def ks_statistic(samples, cdf: Callable[[float], float]) -> float:
     """Two-sided Kolmogorov-Smirnov statistic of ``samples`` against ``cdf``.
 
@@ -85,8 +92,11 @@ def ks_statistic(samples, cdf: Callable[[float], float]) -> float:
     that :func:`divsamp.dist.laplace_cdf` and :func:`~divsamp.dist.gaussian_cdf`
     are evaluated over the whole sorted sample at once, on
     :data:`~divsamp.columns.COLUMN_MATH`, which gives the same bits.
+
+    Raises:
+        ValueError: for an empty sample or one holding NaN or an infinity.
     """
-    x = np.sort(np.asarray(list(samples), dtype=float))
+    x = np.sort(_finite_sample(samples))
     n = x.size
     if n == 0:
         raise ValueError("need at least one sample")
@@ -121,10 +131,10 @@ def moments(samples) -> MomentSummary:
     ``m4 / m2**2 - 3``.
 
     Raises:
-        ValueError: with fewer than four samples, or when the sample is
-            degenerate (zero variance).
+        ValueError: with fewer than four samples, a sample holding NaN or
+            an infinity, or a degenerate sample (zero variance).
     """
-    a = np.asarray(list(samples), dtype=float)
+    a = _finite_sample(samples)
     n = a.size
     if n < 4:
         raise ValueError(f"need at least 4 samples for four moments, got {n}")

@@ -115,14 +115,8 @@ class BitSource:
         else:
             check_count(seed, "seed")
             self._rng = random.Random(seed)
-        self.seed = seed
         self.uniforms_drawn = 0
         self.bits_drawn = 0
-
-    @property
-    def mode(self) -> str:
-        """``"secure"`` for entropy-backed sources, else ``"seeded"``."""
-        return "secure" if self.seed is None else "seeded"
 
     def getrandbits(self, k: int) -> int:
         """Return ``k`` uniform random bits as a non-negative integer.
@@ -212,8 +206,7 @@ def neighbors(u: UniformVariate, w: int) -> list[UniformVariate]:
     """All grid points within ``w`` steps of ``u``, clamped to the grid edges.
 
     Returns an ascending list of distinct variates; at the boundary the
-    window is truncated rather than wrapped.
+    window is truncated rather than wrapped.  ``w`` must be a non-negative ``int``.
     """
-    if w < 0:
-        raise ValueError(f"window must be non-negative, got {w}")
+    check_count(w, "window")
     return [UniformVariate(m, u.p) for m in grid_window(u.m, u.p, w)]

@@ -28,7 +28,6 @@ from divsamp.sampler import (
     bm_cos,
     bm_sin,
     get_method,
-    naive_laplace_from_variate,
 )
 from divsamp.stats import distinct_output_count, ks_critical_value, ks_statistic
 from divsamp.urand import BitSource, next_uniform

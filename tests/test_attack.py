@@ -35,14 +35,12 @@ from divsamp.dist import laplace_cdf
 from divsamp.sampler import (
     GaussianStream,
     bm_cos,
+    bm_radius,
     bm_sin,
     get_method,
     naive_laplace_from_numerator,
-    naive_laplace_from_variate,
 )
-from divsamp.urand import (
-    BitSource, UniformVariate, grid_window, neighbors, next_uniform, round_to_variate,
-)
+from divsamp.urand import BitSource, grid_window, neighbors, next_uniform, round_to_variate
 
 # invalid campaign arguments shared by both attacks; each must be rejected
 # before the first query
@@ -149,6 +147,24 @@ class TestMironovAttack:
             alive -= len(gone)
         assert out.survival_checks == checks
         assert mironov_attack(oracle, [1.0]).survival_checks == 0
+
+    def test_nan_query_eliminates_everything(self):
+        # no grid point maps to NaN, so a NaN query ends the campaign
+        out = mironov_attack(QueryOracle(0.0, lambda: math.nan), [0.0, 1.0], max_queries=4)
+        assert (out.status, out.value, out.queries_used) == ("all_eliminated", None, 1)
+        assert out.survival_checks == 2
+        assert math.isnan(out.trace[0][0]) and out.trace[0][1] == [0.0, 1.0]
+
+    def test_nan_after_a_normal_round(self):
+        draw = get_method("naive-laplace").make_drawer(BitSource(seed=9070))
+        noise = iter([draw(), math.nan])
+        out = mironov_attack(QueryOracle(0.0, lambda: next(noise)), [0.0, 1.0, 2.0],
+                             max_queries=10)
+        assert (out.status, out.queries_used) == ("all_eliminated", 2)
+        (_, first), (_, second) = out.trace
+        assert 0.0 in second
+        assert sorted(first + second) == [0.0, 1.0, 2.0]
+        assert out.survival_checks == 3 + len(second)
 
     @pytest.mark.parametrize("kwargs", BAD_CAMPAIGN_KWARGS)
     def test_bad_parameters(self, kwargs):
@@ -260,6 +276,16 @@ class TestGaussianPairAttack:
         out = gaussian_pair_attack(oracle, [4.5])
         assert (out.status, out.value, out.queries_used) == ("identified", 4.5, 0)
 
+    @pytest.mark.parametrize("halves", [(math.nan, math.nan), (0.5, math.nan), (math.nan, 0.5)])
+    def test_nan_half_eliminates_everything(self, halves):
+        # either half NaN: no grid pair reproduces the round, which ends the campaign
+        noise = iter(halves)
+        out = gaussian_pair_attack(QueryOracle(0.0, lambda: next(noise)), [0.0, 1.0],
+                                   max_queries=8)
+        assert (out.status, out.value, out.queries_used) == ("all_eliminated", None, 2)
+        assert out.survival_checks == 2
+        assert out.trace[0][1] == [0.0, 1.0]
+
     @pytest.mark.parametrize("kwargs", BAD_CAMPAIGN_KWARGS)
     def test_bad_parameters(self, kwargs):
         stream = GaussianStream(BitSource(seed=9280))
@@ -282,7 +308,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 def reference_laplace_survives(q, c, p, w, scale):
     # the survival check written over validated variates
     u = round_to_variate(laplace_cdf((q - c) / scale), p)
-    return any(scale * naive_laplace_from_variate(v) + c == q for v in neighbors(u, w))
+    return any(scale * naive_laplace_from_numerator(v.m, v.p) + c == q for v in neighbors(u, w))
 
 
 def reference_pair_survives(q1, q2, c, p, w, scale):
@@ -495,22 +521,30 @@ class TestExpectedChecks:
 class TestBruteForce:
     def test_recovers_planted_pair(self):
         p = 12
-        planted = (UniformVariate(2500, p), UniformVariate(600, p))
-        n1 = bm_cos(planted[0].value, planted[1].value)
+        n1 = bm_cos(2500 / 4096, 600 / 4096)
         result = brute_force_single_gaussian(n1, p)
-        assert planted in result.pairs
-        for u1, u2 in result.pairs:
-            assert bm_cos(u1.value, u2.value) == n1
+        assert (2500, 600) in result.pairs
+        for m1, m2 in result.pairs:
+            assert type(m1) is int and type(m2) is int
+            assert bm_cos(math.ldexp(m1, -p), math.ldexp(m2, -p)) == n1
 
     def test_random_plants_all_recovered(self):
         p = 12
         rng = random.Random(31337)
-        for _ in range(25):
-            m1 = rng.randrange(1, 1 << p)
-            m2 = rng.randrange(0, 1 << p)
-            planted = (UniformVariate(m1, p), UniformVariate(m2, p))
-            n1 = bm_cos(planted[0].value, planted[1].value)
-            assert planted in brute_force_single_gaussian(n1, p).pairs
+        plants = [(rng.randrange(1, 1 << p), rng.randrange(0, 1 << p)) for _ in range(25)]
+        # m2 = 0 and m2 = 2**(p-1) give n1 = r and n1 = -r: n1 / r is exactly ±1
+        plants += [(m1, m2) for m1 in (1, 2500, (1 << p) - 1) for m2 in (0, 1 << (p - 1))]
+        for m1, m2 in plants:
+            n1 = bm_cos(math.ldexp(m1, -p), math.ldexp(m2, -p))
+            assert (m1, m2) in brute_force_single_gaussian(n1, p).pairs
+
+    def test_just_beyond_the_radius_finds_nothing_there(self):
+        # one ulp above the radius of m1: no angle at that m1 reaches it
+        p, m1 = 12, 2500
+        n1 = math.nextafter(bm_radius(math.ldexp(m1, -p)), math.inf)
+        result = brute_force_single_gaussian(n1, p)
+        assert result.checks >= (1 << p) - m1  # the search did reach m1
+        assert all(a != m1 for a, _ in result.pairs)
 
     def test_check_count_tracks_feasible_window(self):
         p = 12
@@ -520,10 +554,11 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("p", [1, 2, 8])
     def test_zero_output_case(self, p):
-        # only the zero radius reaches 0.0: every angle with u1 = 0, nothing else
-        result = brute_force_single_gaussian(0.0, p)
-        assert result.checks == 2**p
-        assert [(u1.m, u2.m) for u1, u2 in result.pairs] == [(0, m2) for m2 in range(2**p)]
+        # only the zero radius reaches ±0.0: every angle with u1 = 0, nothing else
+        for zero in (0.0, -0.0):
+            result = brute_force_single_gaussian(zero, p)
+            assert result.checks == 2**p
+            assert result.pairs == [(0, m2) for m2 in range(2**p)]
 
     def test_unreachable_output_finds_nothing(self):
         # 12.0 needs u1 so close to 1 that no p=8 grid point reaches it

@@ -95,6 +95,13 @@ class TestKsStatistic:
         with pytest.raises(ValueError):
             ks_statistic([], gaussian_cdf)
 
+    @pytest.mark.parametrize("sample", [
+        [math.nan, math.nan, math.nan, 0.0], [math.inf, 0.0, 1.0], [-math.inf, 0.0]])
+    @pytest.mark.parametrize("cdf", [laplace_cdf, gaussian_cdf, lambda x: 0.5])
+    def test_non_finite_rejected(self, sample, cdf):
+        with pytest.raises(ValueError, match="finite"):
+            ks_statistic(sample, cdf)
+
     def test_matches_scipy_one_sample(self):
         rng = np.random.default_rng(501)
         xs = rng.standard_normal(2000)
@@ -191,6 +198,11 @@ class TestMoments:
     def test_degenerate_sample(self):
         with pytest.raises(ValueError):
             moments([2.0, 2.0, 2.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            moments([1.0, 2.0, 3.0, bad])
 
 
 class TestDistinctOutputCount:

@@ -29,7 +29,7 @@ class TestUniformVariate:
         u = UniformVariate(2**53 - 1, 53)
         assert 0.0 <= u.value < 1.0
 
-    @pytest.mark.parametrize("m,p", [(-1, 8), (256, 8), (2**53, 53)])
+    @pytest.mark.parametrize("m,p", [(-1, 8), (256, 8), (2**53, 53), (2.5, 8), (True, 8)])
     def test_numerator_out_of_range(self, m, p):
         with pytest.raises(ValueError):
             UniformVariate(m, p)
@@ -60,10 +60,6 @@ class TestBitSource:
         a = BitSource(seed=1)
         b = BitSource(seed=2)
         assert [a.getrandbits(53) for _ in range(8)] != [b.getrandbits(53) for _ in range(8)]
-
-    def test_modes(self):
-        assert BitSource(seed=0).mode == "seeded"
-        assert BitSource().mode == "secure"
 
     def test_secure_mode_draws(self):
         src = BitSource()
@@ -188,6 +184,11 @@ class TestRoundToVariate:
     def test_ties_to_even_numerator(self):
         assert round_to_variate(0.375, 2).m == 2  # 1.5 grid steps -> 2
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, x):
+        with pytest.raises(ValueError):
+            round_to_variate(x, 8)
+
 
 class TestNeighbors:
     def test_interior_window(self):
@@ -206,8 +207,10 @@ class TestNeighbors:
         assert [v.m for v in neighbors(UniformVariate(9, 4), 0)] == [9]
 
     def test_negative_window_rejected(self):
-        with pytest.raises(ValueError):
-            neighbors(UniformVariate(0, 8), -1)
+        # and a window that is not an int: a float, or a bool standing for 1
+        for w in (-1, 2.5, True):
+            with pytest.raises(ValueError):
+                neighbors(UniformVariate(0, 8), w)
 
     @given(
         st.integers(min_value=0, max_value=255),
