@@ -407,15 +407,24 @@ def _run_complexity(parser, args) -> int:
         _fail(parser, f"count must be positive, got {args.count}")
     src = BitSource(args.seed)
     stream = GaussianStream(src, args.p)
-    total = 0
+    total = found = 0
     for _ in range(args.count):
         n1 = stream.next()  # cosine-branch output
         stream.next()  # discard the sine half; inversion targets the cosine branch
-        total += attack_mod.brute_force_single_gaussian(n1, args.p, args.window).checks
+        result = attack_mod.brute_force_single_gaussian(n1, args.p, args.window)
+        total += result.checks
+        found += len(result.pairs)
     empirical = total / args.count
     payload["count"] = args.count
+    payload["window"] = args.window
     payload["empirical_mean_checks"] = empirical
     payload["ratio"] = empirical / theoretical
+    payload["cost"] = {
+        "checks": total,
+        "pairs_found": found,
+        "uniforms_drawn": src.uniforms_drawn,
+        "bits_drawn": src.bits_drawn,
+    }
     rows.append(["empirical_mean_checks", empirical])
     rows.append(["ratio", payload["ratio"]])
     _emit(args, payload, lambda: (["quantity", "value"], rows))

@@ -41,6 +41,7 @@ from divsamp.sampler import (
     naive_laplace_from_numerator,
 )
 from divsamp.urand import BitSource, grid_window, neighbors, next_uniform, round_to_variate
+from conftest import reference_brute_force
 
 # invalid campaign arguments shared by both attacks; each must be rejected
 # before the first query
@@ -600,6 +601,39 @@ class TestBruteForce:
         c10 = brute_force_single_gaussian(n1, 10).checks
         c12 = brute_force_single_gaussian(n1, 12).checks
         assert 3.6 < c12 / c10 < 4.4
+
+
+def brute_force_targets(p, rng, plants=3, draws=2):
+    """Outputs that stress the search's edges at precision ``p``.
+
+    Planted pairs (with ``m2`` at 0 and ``2**(p-1)``, where ``n1 / r`` is
+    exactly ±1) and their negations, a radius, its negation and the next
+    double above it, both zeros, and standard normal draws.
+    """
+    size = 1 << p
+    m1s = [rng.randrange(1, size) for _ in range(plants + 2)]
+    m2s = [rng.randrange(0, size) for _ in range(plants)] + [0, size >> 1]
+    planted = [bm_cos(math.ldexp(a, -p), math.ldexp(b, -p)) for a, b in zip(m1s, m2s)]
+    r = bm_radius(math.ldexp(rng.randrange(1, size), -p))
+    return ([x for n1 in planted for x in (n1, -n1)] + [r, -r, math.nextafter(r, math.inf), 0.0, -0.0]
+            + [rng.gauss(0.0, 1.0) for _ in range(draws)])
+
+
+class TestBruteForceMatchesReference:
+    """The cosine-table search returns what the per-angle scalar search returned."""
+
+    @pytest.mark.parametrize("p", range(1, 15))
+    def test_pairs_and_checks_match(self, p):
+        windows = (0, 1, 2, 5, 2**p, 10**9) if p <= 8 else (0, 2, 5)
+        # fewer targets above p = 11 keep the class near 7 s; a wider sweep
+        # is a matter of raising both counts
+        plants, draws = (1, 1) if p > 11 else (3, 2)
+        for n1 in brute_force_targets(p, random.Random(p), plants, draws):
+            for w in windows:
+                got = brute_force_single_gaussian(n1, p, w)
+                want = reference_brute_force(n1, p, w)
+                assert got.pairs == want.pairs, (n1, p, w)
+                assert got.checks == want.checks, (n1, p, w)
 
 
 class TestDefaults:

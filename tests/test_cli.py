@@ -422,6 +422,34 @@ class TestComplexity:
             payload["ratio"] * payload["theoretical_checks"], rel=1e-12
         )
 
+    def test_reports_window_and_cost(self, capsys):
+        code, out, _ = run_cli(
+            ["complexity", "--p", "10", "--count", "20", "--seed", "0"], capsys
+        )
+        payload = json.loads(out)
+        assert code == EXIT_OK
+        assert list(payload) == [
+            "command", "p", "seed", "theoretical_checks", "count", "window",
+            "empirical_mean_checks", "ratio", "cost",
+        ]
+        assert payload["window"] == 2
+        assert payload["empirical_mean_checks"] == 629.45
+        # 20 searches; each draw takes two p-bit uniforms for one
+        # Box-Muller pair, whose sine half is discarded
+        assert payload["cost"] == {
+            "checks": 12589, "pairs_found": 24, "uniforms_drawn": 40, "bits_drawn": 400,
+        }
+        assert payload["cost"]["checks"] == payload["empirical_mean_checks"] * 20
+
+    def test_window_changes_checks(self, capsys):
+        _, out, _ = run_cli(
+            ["complexity", "--p", "10", "--count", "20", "--seed", "0", "--window", "0"], capsys
+        )
+        payload = json.loads(out)
+        assert payload["window"] == 0
+        # a window of w pads the u1 walk by w rows per search
+        assert payload["cost"]["checks"] == 12589 - 2 * 20
+
     def test_high_precision_needs_theoretical_flag(self, capsys):
         code, _, err = run_cli(["complexity", "--p", "30"], capsys)
         assert code == 2
