@@ -218,7 +218,7 @@ def _run_sample(parser, args) -> int:
     method = _resolve_method(parser, args)
     scale = _noise_scale(parser, args, method)
     src = BitSource(args.seed)
-    values = [scale * x for x in method.draw(src, args.p, args.count)]
+    values = (scale * method._column(src, args.p, args.count)).tolist()
     payload = {
         "command": "sample",
         "method": method.name,
@@ -321,13 +321,13 @@ def _run_verify(parser, args) -> int:
                       f"{args.count} {method.name} draws; it must be at least {1 / max_scale:.3g}")
     reference = args.against or method.family
     src = BitSource(args.seed)
-    values = [scale * x for x in method.draw(src, args.p, args.count)]
+    values = scale * method._column(src, args.p, args.count)
 
     if reference == "laplace":
         # KS against laplace_cdf(x / scale): dividing by scale > 0 keeps the
         # order, so the samples may be divided first, and ks_statistic then
         # evaluates dist.laplace_cdf itself on a column
-        stat = stats.ks_statistic([x / scale for x in values], dist.laplace_cdf)
+        stat = stats.ks_statistic(values / scale, dist.laplace_cdf)
         ref_variance = 2.0 * scale * scale
     else:
         stat = stats.ks_statistic(values, dist.gaussian_cdf)
@@ -384,6 +384,8 @@ def _run_verify(parser, args) -> int:
 
 
 def _run_complexity(parser, args) -> int:
+    if args.count < 1:
+        _fail(parser, f"count must be positive, got {args.count}")
     theoretical = attack_mod.expected_checks(args.p)
     payload = {
         "command": "complexity",
@@ -403,8 +405,6 @@ def _run_complexity(parser, args) -> int:
             f"empirical measurement is limited to p <= {attack_mod.BRUTE_FORCE_MAX_PRECISION}; "
             f"use --theoretical-only for p = {args.p}",
         )
-    if args.count < 1:
-        _fail(parser, f"count must be positive, got {args.count}")
     src = BitSource(args.seed)
     stream = GaussianStream(src, args.p)
     total = found = 0

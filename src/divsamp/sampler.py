@@ -44,10 +44,11 @@ from .urand import BitSource, DEFAULT_PRECISION, _take_numerator, check_count, c
 
 DEFAULT_DIVISIBILITY = 4
 TWO_PI = 2.0 * math.pi
-# Uniforms drawn per batch by SamplerMethod.draw: enough to amortise one
-# getrandbits call, few enough that a 16-uniform method stays near the
-# scalar path's peak memory.
-DRAW_BATCH_UNIFORMS = 2048
+# Uniforms drawn per batch by SamplerMethod.draw: the smallest batch within
+# 3% of the fastest `verify-sweep` measured (2048 to 32768).  It runs a
+# 16-uniform method's libm maps over 512-row columns; larger batches were
+# no faster and raised peak memory.
+DRAW_BATCH_UNIFORMS = 8192
 
 __all__ = [
     "DEFAULT_DIVISIBILITY",
@@ -263,20 +264,23 @@ class SamplerMethod:
         per ``take()``.  Like the drawer, the Box-Muller stream evaluates a
         whole pair for an odd last output and discards its second half.
         """
+        return self._column(src, p, count).tolist()
+
+    def _column(self, src: BitSource, p: int, count: int) -> np.ndarray:
+        """:meth:`draw`'s values as one float64 array, the batches joined once."""
         check_precision(p)
         check_count(count, "draw count")
         per_call = self.uniforms_per_draw * self._outputs
         calls = -(-count // self._outputs)
         batch = max(1, DRAW_BATCH_UNIFORMS // per_call)
-        values: list[float] = []
+        parts = []
         for start in range(0, calls, batch):
             k = min(batch, calls - start)
             grid = src.numerators(p, k * per_call).reshape(k, per_call)
             out = self._kernel(iter(grid.T).__next__, p, COLUMN_MATH)
             # a pair kernel's halves interleave in stream order
-            values += (np.column_stack(out).ravel() if self._outputs > 1 else out).tolist()
-        del values[count:]
-        return values
+            parts.append(np.column_stack(out).ravel() if self._outputs > 1 else out)
+        return np.concatenate(parts)[:count] if parts else np.empty(0)
 
 
 # name -> (family, hardening, uniforms per draw per unit of divisibility,

@@ -10,7 +10,6 @@ the attack-facing analysis — a count of distinct representable outputs.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -77,7 +76,7 @@ def ks_p_value(statistic: float, n: int) -> float:
 
 
 def _finite_sample(samples) -> np.ndarray:
-    a = np.asarray(list(samples), dtype=float)
+    a = np.asarray(samples if isinstance(samples, np.ndarray) else list(samples), dtype=float)
     if not np.isfinite(a).all():
         raise ValueError("samples must be finite")
     return a
@@ -171,5 +170,4 @@ def distinct_output_count(
         )
     if draws < 1:
         raise ValueError(f"draw count must be positive, got {draws}")
-    seen = {struct.pack("<d", x) for x in method.draw(src, p, draws)}
-    return len(seen)
+    return int(np.unique(method._column(src, p, draws).view(np.uint64)).size)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +110,7 @@ class BitSource:
 
     def __init__(self, seed: int | None = None) -> None:
         if seed is None:
-            self._rng: random.Random = secrets.SystemRandom()
+            self._rng: random.Random = random.SystemRandom()
         else:
             check_count(seed, "seed")
             self._rng = random.Random(seed)
@@ -141,16 +140,21 @@ class BitSource:
         right by ``32 - p``, and a ``p > 32`` draw is a full low word plus
         a second word shifted right by ``64 - p``.  So one ``32 * k`` (or
         ``64 * k``) bit request holds the ``k`` draws' words in order, and
-        they are split out with numpy.  A subclass that replays fixed
-        numerators overrides this method as well as ``getrandbits``.  The
-        numerators come as a ``uint64`` array.
+        they are split out with numpy: a ``p > 32`` draw's two words are
+        one little-endian 64-bit word ``x``, and its numerator is
+        ``(x & 0xFFFFFFFF) | (x >> (96 - p)) << 32``.  A subclass that
+        replays fixed numerators overrides this method as well as
+        ``getrandbits``.  The numerators come as a ``uint64`` array.
         """
         check_precision(p)
         check_count(k, "numerator count")
         words_per_draw = 1 if p <= 32 else 2
         raw = self.getrandbits(32 * words_per_draw * k).to_bytes(4 * words_per_draw * k, "little")
-        w = np.frombuffer(raw, dtype="<u4").astype(np.uint64)
-        ms = w >> (32 - p) if p <= 32 else w[0::2] | (w[1::2] >> (64 - p)) << 32
+        if p <= 32:
+            ms = np.frombuffer(raw, dtype="<u4").astype(np.uint64) >> (32 - p)
+        else:
+            x = np.frombuffer(raw, dtype="<u8")
+            ms = (x & 0xFFFFFFFF) | (x >> (96 - p)) << 32
         self.uniforms_drawn += k
         self.bits_drawn += p * k
         return ms

@@ -52,6 +52,16 @@ GOLDEN_ATTACKS = {
     ),
 }
 COST_KEY = ',\n  "cost": '
+# verify reports pinned byte for byte: golden file name -> argv.  The
+# laplace-sqsum run draws 72,008 uniforms, so it spans several draw batches.
+SQSUM_ARGV = ["verify", "--method", "laplace-sqsum", "--epsilon", "0.3",
+              "--count", "9001", "--seed", "0"]
+GOLDEN_VERIFY = {
+    "verify_secure_gaussian_n8_seed0.json":
+        ["verify", "--method", "secure-gaussian", "--n", "8", "--count", "2000", "--seed", "0"],
+    "verify_laplace_sqsum_eps03_seed0.json": SQSUM_ARGV,
+    "verify_laplace_sqsum_eps03_seed0.csv": [*SQSUM_ARGV, "--format", "csv"],
+}
 
 # what an installer's console-script wrapper does, with the entry point's
 # value passed as the first argument instead of baked in
@@ -284,6 +294,12 @@ class TestAttack:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_VERIFY))
+    def test_matches_golden_file(self, name, capsys):
+        code, out, _ = run_cli(GOLDEN_VERIFY[name], capsys)
+        assert code == EXIT_OK
+        assert out == (DATA / name).read_text()
+
     def test_naive_laplace_passes(self, capsys):
         code, out, _ = run_cli(
             ["verify", "--seed", "2001", "--count", "20000"], capsys
@@ -471,6 +487,7 @@ class TestComplexity:
             ["complexity", "--p", "60", "--theoretical-only"],
             ["complexity", "--p", "8", "--count", "0"],
             ["complexity", "--p", "8", "--count", "5", "--seed", "-1"],
+            ["complexity", "--p", "12", "--theoretical-only", "--count", "-5"],
         ],
     )
     def test_usage_errors(self, argv, capsys):
@@ -570,6 +587,17 @@ class TestTopLevel:
         entry = EntryPoint(name="divsamp", value=value, group="console_scripts")
         assert entry.load() is main
         assert_runs_as_divsamp([sys.executable, "-c", CONSOLE_SCRIPT, value])
+
+    def test_cli_import_loads_no_openssl(self):
+        # secure mode needs only random.SystemRandom; secrets would pull in
+        # hmac and _hashlib, which load libcrypto into every divsamp process
+        probe = ("import sys, divsamp.cli; "
+                 "print(sorted({'secrets', 'hmac', '_hashlib'} & set(sys.modules)))")
+        env = {**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)}
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env,
+                              timeout=120, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
     def test_python_dash_m(self):
         assert_runs_as_divsamp([sys.executable, "-m", "divsamp"])
