@@ -27,6 +27,7 @@ from .dist import laplace_cdf
 from .sampler import (
     TWO_PI,
     GaussianStream,
+    _bm_radius,
     bm_cos,
     bm_radius,
     bm_sin,
@@ -185,9 +186,15 @@ def _nearest_first(m: int, p: int, w: int) -> Iterator[int]:
 
 def _laplace_survives(q: float, c: float, p: int, w: int, scale: float) -> bool:
     # Round the implied uniform onto the grid, then ask whether any grid
-    # point within w steps pushes forward to the query bit-exactly.
+    # point within w steps pushes forward to the query bit-exactly.  The
+    # centre m is tried before the rest of the window is set up: for the
+    # true candidate it almost always matches.
     m = grid_round(laplace_cdf((q - c) / scale), p)
-    for k in _nearest_first(m, p, w):
+    if scale * naive_laplace_from_numerator(m, p) + c == q:
+        return True
+    rest = _nearest_first(m, p, w)
+    next(rest)  # m itself, just tried
+    for k in rest:
         if scale * naive_laplace_from_numerator(k, p) + c == q:
             return True
     return False
@@ -273,7 +280,7 @@ def _pair_survives(
     fresh = _nearest_first(grid_round(u2, p), p, w)
     trig: list[tuple[float, float]] = []
     for m1 in _nearest_first(grid_round(u1, p), p, w):
-        r = bm_radius(math.ldexp(m1, -p))
+        r = _bm_radius(math.ldexp(m1, -p), math)
         for cos_angle, angle in trig:
             if c + scale * (r * cos_angle) == q1 and c + scale * (r * math.sin(angle)) == q2:
                 return True

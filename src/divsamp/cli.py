@@ -31,6 +31,11 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # The full parser, and each subcommand's own parser by name
     parser = argparse.ArgumentParser(
         prog="divsamp",
         description="Floating-point-aware noise sampling, attacks, and verification.",
@@ -55,11 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
             help="privacy budget; Laplace noise is scaled by b = 1/epsilon",
         )
 
-    sp = sub.add_parser("sample", help="draw noise samples")
+    commands: dict[str, argparse.ArgumentParser] = {}
+    sp = commands["sample"] = sub.add_parser("sample", help="draw noise samples")
     add_common(sp, "naive-laplace")
     sp.add_argument("--count", type=int, default=10, help="number of draws")
 
-    sp = sub.add_parser("attack", help="run a candidate-elimination attack")
+    sp = commands["attack"] = sub.add_parser("attack", help="run a candidate-elimination attack")
     add_common(sp, "naive-laplace")
     sp.add_argument(
         "--attack",
@@ -81,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--window", type=int, default=None, help="grid neighbourhood half-width")
     sp.add_argument("--max-queries", type=int, default=100)
 
-    sp = sub.add_parser("verify", help="test a sampler's distribution")
+    sp = commands["verify"] = sub.add_parser("verify", help="test a sampler's distribution")
     add_common(sp, "naive-laplace")
     sp.add_argument("--count", type=int, default=100_000, help="number of draws")
     sp.add_argument(
@@ -91,7 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="reference family (default: the method's own family)",
     )
 
-    sp = sub.add_parser("complexity", help="search-cost model for single-output inversion")
+    sp = commands["complexity"] = sub.add_parser(
+        "complexity", help="search-cost model for single-output inversion"
+    )
     sp.add_argument("--p", type=int, default=MAX_PRECISION)
     sp.add_argument("--count", type=int, default=200, help="draws for the empirical mean")
     sp.add_argument("--seed", type=int, default=0)
@@ -100,18 +108,34 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the brute-force measurement (required for p > 20)",
     )
-    sp.add_argument("--window", type=int, default=attack_mod.DEFAULT_WINDOW)
+    sp.add_argument("--window", type=int, default=None, help="grid neighbourhood half-width")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--out", default=None)
-    return parser
+    return parser, commands
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     # Built once per process: every add_argument call constructs a help
     # formatter, which queries the terminal size.  Shared by every main()
-    # call, so nothing may mutate it (no set_defaults, no added arguments).
-    return build_parser()
+    # call, so nothing may mutate them (no set_defaults, no added arguments).
+    return _build_parsers()
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    # A subcommand's own parser does the same work as the full parser, which
+    # hands it everything after the subcommand name, in about 60% of the time.
+    # Anything it leaves over, and any argv that does not start with a
+    # subcommand, goes through the full parser, so every usage error reads
+    # as before.
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0])
+        )
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def _fail(parser: argparse.ArgumentParser, message: str) -> None:
@@ -207,7 +231,7 @@ def _emit(args, payload: dict, csv_rows: Callable[[], tuple[list[str], list[list
             with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            _fail(_parser(), f"cannot write {args.out}: {exc.strerror or exc}")
+            _fail(_parsers()[0], f"cannot write {args.out}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 
@@ -395,6 +419,9 @@ def _run_complexity(parser, args) -> int:
     }
     rows = [["theoretical_checks", theoretical]]
     if args.theoretical_only:
+        if args.window is not None:
+            _fail(parser, "--window applies to the brute-force measurement; "
+                          "it cannot be combined with --theoretical-only")
         payload["empirical_mean_checks"] = None
         payload["ratio"] = None
         _emit(args, payload, lambda: (["quantity", "value"], rows))
@@ -405,18 +432,19 @@ def _run_complexity(parser, args) -> int:
             f"empirical measurement is limited to p <= {attack_mod.BRUTE_FORCE_MAX_PRECISION}; "
             f"use --theoretical-only for p = {args.p}",
         )
+    w = attack_mod.DEFAULT_WINDOW if args.window is None else args.window
     src = BitSource(args.seed)
     stream = GaussianStream(src, args.p)
     total = found = 0
     for _ in range(args.count):
         n1 = stream.next()  # cosine-branch output
         stream.next()  # discard the sine half; inversion targets the cosine branch
-        result = attack_mod.brute_force_single_gaussian(n1, args.p, args.window)
+        result = attack_mod.brute_force_single_gaussian(n1, args.p, w)
         total += result.checks
         found += len(result.pairs)
     empirical = total / args.count
     payload["count"] = args.count
-    payload["window"] = args.window
+    payload["window"] = w
     payload["empirical_mean_checks"] = empirical
     payload["ratio"] = empirical / theoretical
     payload["cost"] = {
@@ -432,8 +460,8 @@ def _run_complexity(parser, args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    parser = _parsers()[0]
+    args = _parse(sys.argv[1:] if argv is None else argv)
     if not 1 <= args.p <= MAX_PRECISION:
         _fail(parser, f"precision must be in [1, {MAX_PRECISION}], got {args.p}")
     if args.seed is not None and args.seed < 0:

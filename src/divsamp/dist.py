@@ -6,6 +6,12 @@ CDF and its inverse are written exactly as the sampling transforms use
 them — including the rounded sign selector in the inverse — because the
 attack code must reproduce the sampler's arithmetic bit for bit, not just
 to within an ulp.
+
+The Laplace CDF has two forms: the scalar :func:`laplace_cdf`, a branch
+that the survival checks call once per candidate, and ``_laplace_cdf(x,
+lm)``, written without a branch so that numpy evaluates it over the
+columns :func:`divsamp.stats.ks_statistic` tests.  The tests pin the two
+equal bit for bit on every float, including ±0, subnormals, ±inf and NaN.
 """
 
 from __future__ import annotations
@@ -23,12 +29,14 @@ _SQRT_TWO = math.sqrt(2.0)
 
 def laplace_cdf(x: float) -> float:
     """Standard Laplace CDF: ``e**x / 2`` for x <= 0, else ``1 - e**-x / 2``."""
-    return _laplace_cdf(x, math)
+    h = 0.5 * math.exp(-abs(x))
+    return 1.0 - h if x > 0.0 else h
 
 
 def _laplace_cdf(x, lm):
     # h = exp(-|x|) / 2, and up + (1 - 2 up) h is h or 1 - h bit for bit:
-    # the branch in a form numpy also evaluates (lm as in _laplace_quantile)
+    # laplace_cdf's branch in a form numpy also evaluates over a column
+    # (lm as in _laplace_quantile)
     up = x > 0.0
     return up + (1.0 - 2.0 * up) * (0.5 * lm.exp(-abs(x)))
 

@@ -190,7 +190,10 @@ def grid_round(x: float, p: int) -> int:
     still identifies the top of the grid.  ``x`` must be finite and ``p``
     valid; :func:`round_to_variate` is the checked form.
     """
-    return min(max(round(math.ldexp(x, p)), 0), (1 << p) - 1)
+    m = round(math.ldexp(x, p))
+    if m < 0:
+        return 0
+    return m if m < 1 << p else (1 << p) - 1
 
 
 def grid_window(m: int, p: int, w: int) -> range:

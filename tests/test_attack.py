@@ -469,6 +469,38 @@ class TestTrueCandidateSurvives:
         assert _pair_survives(q1, q2, c, p, DEFAULT_PAIR_WINDOW, scale)
 
 
+class TestReach:
+    """Identification needs a target that is small next to the noise scale.
+
+    Far from zero, ``q = target + noise`` rounds away the noise's low bits,
+    so grid points near either candidate reproduce every query and the
+    campaign runs out of budget; the true target is still never eliminated.
+    Forty seeded campaigns of 100 queries per setting, candidates
+    ``{target, target + 1}``, at scale 1 and p = 53.
+    """
+
+    @pytest.mark.parametrize("kind,target,identified", [
+        ("mironov", 1e2, 29), ("mironov", 1e4, 0), ("mironov", 1e6, 0),
+        ("pair", 1e2, 16), ("pair", 1e4, 0), ("pair", 1e6, 0),
+    ])
+    def test_true_target_never_eliminated(self, kind, target, identified):
+        statuses = []
+        for seed in range(40):
+            src = BitSource(seed=seed)
+            if kind == "mironov":
+                oracle = QueryOracle(target, get_method("naive-laplace").make_drawer(src))
+                out = mironov_attack(oracle, [target, target + 1.0])
+            else:
+                stream = GaussianStream(src)
+                oracle = QueryOracle(target, stream.next, stream=stream)
+                out = gaussian_pair_attack(oracle, [target, target + 1.0])
+            assert all(target not in gone for _, gone in out.trace)
+            assert out.queries_used == 100
+            statuses.append((out.status, out.value))
+        assert statuses.count(("identified", target)) == identified
+        assert statuses.count(("budget_exhausted", None)) == 40 - identified
+
+
 class TestCountFeasible:
     def test_example_values(self):
         assert count_feasible_checks(0.0, 8) == 256

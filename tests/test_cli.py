@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divsamp
-from divsamp.cli import EXIT_FAIL, EXIT_OK, _json, build_parser, main
+from divsamp.cli import EXIT_FAIL, EXIT_OK, _json, _parse, build_parser, main
 from divsamp.dist import gaussian_cdf, laplace_cdf
 from divsamp.sampler import get_method, method_names
 from divsamp.stats import ks_p_value, ks_statistic
@@ -488,6 +488,7 @@ class TestComplexity:
             ["complexity", "--p", "8", "--count", "0"],
             ["complexity", "--p", "8", "--count", "5", "--seed", "-1"],
             ["complexity", "--p", "12", "--theoretical-only", "--count", "-5"],
+            ["complexity", "--p", "53", "--theoretical-only", "--window", "2"],
         ],
     )
     def test_usage_errors(self, argv, capsys):
@@ -567,6 +568,31 @@ class TestTopLevel:
         assert out == (DATA / "sample_naive_seed42.json").read_text()
         assert run_cli(bad, capsys) == (2, "", first_err)
         assert build_parser() is not build_parser()
+
+    # main() parses a subcommand's options with that subcommand's own
+    # parser, and hands any argv it cannot finish to the full parser
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["bogus"], ["attack", "--bogus"], ["attack", "--p", "x"],
+        ["verify", "--format", "xml"], ["complexity", "--", "3"], ["attack", "-h"],
+    ])
+    def test_parse_errors_read_as_the_full_parser(self, argv, capsys):
+        with pytest.raises(SystemExit) as want:
+            build_parser().parse_args(argv)
+        want_out, want_err = capsys.readouterr()
+        assert run_cli(argv, capsys) == (want.value.code, want_out, want_err)
+
+    @pytest.mark.parametrize("argv", [
+        ["sample"],
+        GOLDEN_ARGV,
+        DEFENDED_ARGV,
+        ["attack", "--attack", "gaussian-pair", "--method", "box-muller", "--window", "3",
+         "--target", "1.0", "--epsilon", "2", "--format", "csv", "--out", "x"],
+        ["attack", "--max-q", "7", "--cand", "1,2"],
+        ["verify", "--against", "gaussian", "--n", "3", "--count", "50"],
+        ["complexity", "--p", "8", "--theoretical-only", "--window", "1"],
+    ])
+    def test_parses_as_the_full_parser(self, argv):
+        assert vars(_parse(argv)) == vars(build_parser().parse_args(argv))
 
     @pytest.mark.parametrize("argv", [
         ["sample", "--seed", "1", "--out", "{tmp}/missing/x.json"],

@@ -6,13 +6,18 @@ bisection of the CDF — never from the code under test.
 """
 
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from divsamp.dist import gaussian_cdf, laplace_cdf, laplace_inverse_cdf
+from divsamp.dist import _laplace_cdf, gaussian_cdf, laplace_cdf, laplace_inverse_cdf
+
+
+def _bits(x):
+    return struct.pack("<d", x)
 
 
 class TestLaplaceCdf:
@@ -36,6 +41,28 @@ class TestLaplaceCdf:
     def test_monotone(self, a, b):
         lo, hi = min(a, b), max(a, b)
         assert laplace_cdf(lo) <= laplace_cdf(hi)
+
+    # the scalar branch and the column form ks_statistic evaluates must
+    # agree on every double, not just to within an ulp
+    @given(st.floats())
+    @settings(max_examples=1000)
+    def test_branch_matches_column_form(self, x):
+        assert _bits(laplace_cdf(x)) == _bits(_laplace_cdf(x, math))
+
+    @pytest.mark.parametrize("x", [
+        0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308,
+        2.2250738585072014e-308, 1e-300, -1e-300, 37.5, -37.5, 745.2, -745.2, 800.0, -800.0,
+        1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan,
+        -math.nan,
+    ])
+    def test_branch_matches_column_form_at_edges(self, x):
+        assert _bits(laplace_cdf(x)) == _bits(_laplace_cdf(x, math))
+
+    def test_edge_values(self):
+        assert _bits(laplace_cdf(-0.0)) == _bits(0.5)
+        assert _bits(laplace_cdf(5e-324)) == _bits(0.5)
+        assert (laplace_cdf(math.inf), laplace_cdf(-math.inf)) == (1.0, 0.0)
+        assert math.isnan(laplace_cdf(math.nan))
 
 
 class TestLaplaceInverseCdf:

@@ -12,6 +12,7 @@ from divsamp.urand import (
     BitSource,
     EntropyError,
     UniformVariate,
+    grid_round,
     neighbors,
     next_uniform,
     round_to_variate,
@@ -188,6 +189,40 @@ class TestRoundToVariate:
     def test_rejects_non_finite(self, x):
         with pytest.raises(ValueError):
             round_to_variate(x, 8)
+
+
+def clamped_round(x, p):
+    # grid_round as first written: round, then clamp with min and max
+    return min(max(round(math.ldexp(x, p)), 0), 2**p - 1)
+
+
+class TestGridRound:
+    @pytest.mark.parametrize("p", [1, 2, 53])
+    def test_matches_min_max_clamp(self, p):
+        step = math.ldexp(1.0, -p)
+        xs = [0.0, -0.0, 5e-324, -5e-324, -step / 2, -step, -1.0, -1e290,
+              1.0, 1.0 - step, 1.0 - step / 2, 1.0 - step / 4, 1.5, 2.0, 1e290]
+        # half-step ties: from the one below the grid through its lowest
+        # 64 steps (past its top for p = 1, 2), and through its highest 64
+        xs += [(k + 0.5) * step for k in range(-1, min(2**p, 64) + 1)]
+        xs += [(2**p - k - 0.5) * step for k in range(min(2**p, 64))]
+        for x in xs:
+            assert grid_round(x, p) == clamped_round(x, p), x
+
+    # near the grid, and anywhere below about 1e292, beyond which
+    # ldexp(x, 53) overflows in both forms
+    @given(
+        st.sampled_from([1, 2, 53]),
+        st.one_of(st.floats(min_value=-2.0, max_value=2.0),
+                  st.floats(min_value=-1e290, max_value=1e290)),
+    )
+    @settings(max_examples=1000)
+    def test_matches_min_max_clamp_anywhere(self, p, x):
+        assert grid_round(x, p) == clamped_round(x, p)
+
+    def test_ties_to_even_then_clamped(self):
+        assert [grid_round(x, 1) for x in (-0.25, 0.25, 0.75, 1.25)] == [0, 0, 1, 1]
+        assert [grid_round(x, 2) for x in (0.125, 0.375, 0.625, 0.875)] == [0, 2, 2, 3]
 
 
 class TestNeighbors:
