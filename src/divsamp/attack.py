@@ -262,6 +262,33 @@ def invert_box_muller(n1: float, n2: float) -> tuple[float, float]:
     return u1, u2
 
 
+def _pair_matches(
+    q1: float, q2: float, c: float, p: int, scale: float, m1: int, w1: int, m2: int, w2: int
+) -> bool:
+    # Whether a grid pair within w1 steps of m1 and w2 steps of m2 maps to
+    # (q1, q2) bit-exactly.  bm_cos and bm_sin factored by grid point: one
+    # radius per u1 and one angle and cosine per u2, combined by the same
+    # IEEE operations in the same order; the sine is taken only once the
+    # cosine half matches.  Both axes go nearest-first.  The first row
+    # computes each u2's angle and cosine on first use, so a check that
+    # matches early skips the rest; a row that does not match leaves all of
+    # them in ``trig`` for the next.
+    fresh = _nearest_first(m2, p, w2)
+    trig: list[tuple[float, float]] = []
+    for k1 in _nearest_first(m1, p, w1):
+        r = _bm_radius(math.ldexp(k1, -p), math)
+        for cos_angle, angle in trig:
+            if c + scale * (r * cos_angle) == q1 and c + scale * (r * math.sin(angle)) == q2:
+                return True
+        for k2 in fresh:
+            angle = TWO_PI * math.ldexp(k2, -p)
+            cos_angle = math.cos(angle)
+            trig.append((cos_angle, angle))
+            if c + scale * (r * cos_angle) == q1 and c + scale * (r * math.sin(angle)) == q2:
+                return True
+    return False
+
+
 def _pair_survives(
     q1: float, q2: float, c: float, p: int, w: int, scale: float
 ) -> bool:
@@ -271,26 +298,28 @@ def _pair_survives(
         # Only the zero-radius grid point reproduces an exact (0, 0) pair.
         return c + scale * bm_cos(0.0, 0.0) == q1 and c + scale * bm_sin(0.0, 0.0) == q2
     u1, u2 = invert_box_muller(n1, n2)
-    # bm_cos and bm_sin factored by grid point: one radius per u1 and one
-    # angle and cosine per u2, combined by the same IEEE operations in the
-    # same order; the sine is taken only once the cosine half matches.  Both
-    # axes go nearest-first.  The first row computes each u2's angle and
-    # cosine on first use, so a check that matches early skips the rest;
-    # a row that does not match leaves all of them in ``trig`` for the next.
-    fresh = _nearest_first(grid_round(u2, p), p, w)
-    trig: list[tuple[float, float]] = []
-    for m1 in _nearest_first(grid_round(u1, p), p, w):
-        r = _bm_radius(math.ldexp(m1, -p), math)
-        for cos_angle, angle in trig:
-            if c + scale * (r * cos_angle) == q1 and c + scale * (r * math.sin(angle)) == q2:
-                return True
-        for m2 in fresh:
-            angle = TWO_PI * math.ldexp(m2, -p)
-            cos_angle = math.cos(angle)
-            trig.append((cos_angle, angle))
-            if c + scale * (r * cos_angle) == q1 and c + scale * (r * math.sin(angle)) == q2:
-                return True
-    return False
+    m1, m2 = grid_round(u1, p), grid_round(u2, p)
+    if _pair_matches(q1, q2, c, p, scale, m1, w, m2, w):
+        return True
+    # Only a failed check gets here.  Adding c rounded each query to its ulp,
+    # so n1 and n2 may be off by e in all, which moves u1 by up to t1 grid
+    # steps and u2 by up to t2.  If both moves are under a step, or both at
+    # least one, the window has met the pairs that map to the queries; if
+    # only one is, those pairs form a strip one step thin that (u1, u2) can
+    # miss by up to t steps along it.  Search again, that much wider, and
+    # keep c when that search would be too large to run.
+    r = math.hypot(n1, n2)
+    if r == math.inf:  # no grid pair maps to an infinite noise pair
+        return False
+    e = (math.ulp(q1) + math.ulp(q2)) / (2.0 * scale)
+    t1 = math.ldexp(e * (r * math.exp(-0.5 * r * r)), p)  # |du1| <= e r exp(-r^2/2)
+    t2 = math.ldexp(e / (TWO_PI * r), p)  # |du2| <= e / (2 pi r)
+    if (t1 < 1.0) == (t2 < 1.0):
+        return False
+    w1, w2 = w + math.ceil(t1), w + math.ceil(t2)
+    if (2 * w1 + 1) * (2 * w2 + 1) > MAX_CHECK_EVALUATIONS:
+        return True
+    return _pair_matches(q1, q2, c, p, scale, m1, w1, m2, w2)
 
 
 def gaussian_pair_attack(

@@ -3,8 +3,12 @@
 Every subcommand prints a single machine-readable document (JSON by
 default, CSV on request) to stdout or ``--out``.  Exit codes follow one
 contract throughout: 0 means the attack identified its target or all
-checks passed, 2 means the defense held or a check failed (argparse also
-uses 2 for usage errors, with a diagnostic on stderr).
+checks passed, 2 means the defense held or a check failed.  A usage error
+also exits 2, with a diagnostic on stderr and nothing on stdout.  Besides
+argparse's own, a usage error is any ``ValueError`` that a subcommand's
+handler, or a library call it makes, raises: :func:`main` alone turns it
+into the diagnostic.  Any other exception is a bug, and its traceback is
+shown.
 
 JSON field names are stable and covered by a golden-file test; floats are
 rendered with Python's shortest round-trip representation.
@@ -22,7 +26,7 @@ from typing import Callable
 from . import attack as attack_mod
 from . import dist, stats
 from .sampler import GaussianStream, get_method
-from .urand import MAX_PRECISION, BitSource
+from .urand import MAX_PRECISION, BitSource, check_count
 
 EXIT_OK = 0
 EXIT_FAIL = 2
@@ -42,8 +46,8 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp: argparse.ArgumentParser, default_method: str) -> None:
-        sp.add_argument("--method", default=default_method, help="sampler method name")
+    def add_common(sp: argparse.ArgumentParser) -> None:
+        sp.add_argument("--method", default="naive-laplace", help="sampler method name")
         sp.add_argument("--p", type=int, default=MAX_PRECISION, help="uniform grid precision")
         sp.add_argument(
             "--n", type=int, default=None, help="divisibility order, where the method has one"
@@ -62,11 +66,11 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
 
     commands: dict[str, argparse.ArgumentParser] = {}
     sp = commands["sample"] = sub.add_parser("sample", help="draw noise samples")
-    add_common(sp, "naive-laplace")
+    add_common(sp)
     sp.add_argument("--count", type=int, default=10, help="number of draws")
 
     sp = commands["attack"] = sub.add_parser("attack", help="run a candidate-elimination attack")
-    add_common(sp, "naive-laplace")
+    add_common(sp)
     sp.add_argument(
         "--attack",
         dest="attack_kind",
@@ -88,7 +92,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     sp.add_argument("--max-queries", type=int, default=100)
 
     sp = commands["verify"] = sub.add_parser("verify", help="test a sampler's distribution")
-    add_common(sp, "naive-laplace")
+    add_common(sp)
     sp.add_argument("--count", type=int, default=100_000, help="number of draws")
     sp.add_argument(
         "--against",
@@ -138,17 +142,6 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _fail(parser: argparse.ArgumentParser, message: str) -> None:
-    parser.error(message)  # exits with code 2
-
-
-def _resolve_method(parser, args):
-    try:
-        return get_method(args.method, args.n)
-    except ValueError as exc:
-        _fail(parser, str(exc))
-
-
 def _draw_bound(method) -> float:
     # Every grid uniform has 1 - u >= 2**-53, so -log(1 - u) <= L = 53 ln 2,
     # and a unit-scale draw that combines U uniforms is at most U * L in
@@ -158,19 +151,19 @@ def _draw_bound(method) -> float:
     return method.uniforms_per_draw * 53 * math.log(2.0)
 
 
-def _noise_scale(parser, args, method) -> float:
+def _noise_scale(args, method) -> float:
     if args.epsilon is None:
         return 1.0
     if not (0 < args.epsilon < math.inf and 1.0 / args.epsilon < math.inf):
-        _fail(parser, "epsilon must be positive and finite, with 1/epsilon finite; "
-                      f"got {args.epsilon}")
+        raise ValueError("epsilon must be positive and finite, with 1/epsilon finite; "
+                         f"got {args.epsilon}")
     if method.family != "laplace":
-        _fail(parser, "epsilon scaling applies to Laplace-family methods only")
+        raise ValueError("epsilon scaling applies to Laplace-family methods only")
     scale = 1.0 / args.epsilon
     bound = _draw_bound(method)
     if not math.isfinite(scale * bound):
-        _fail(parser, f"epsilon {args.epsilon} is too small for finite {method.name} noise; "
-                      f"it must be at least {bound / sys.float_info.max:.3g}")
+        raise ValueError(f"epsilon {args.epsilon} is too small for finite {method.name} noise; "
+                         f"it must be at least {bound / sys.float_info.max:.3g}")
     return scale
 
 
@@ -231,18 +224,18 @@ def _emit(args, payload: dict, csv_rows: Callable[[], tuple[list[str], list[list
             with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            _fail(_parsers()[0], f"cannot write {args.out}: {exc.strerror or exc}")
+            raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
 
-def _run_sample(parser, args) -> int:
+def _run_sample(args) -> int:
     if args.count < 1:
-        _fail(parser, f"count must be positive, got {args.count}")
-    method = _resolve_method(parser, args)
-    scale = _noise_scale(parser, args, method)
+        raise ValueError(f"count must be positive, got {args.count}")
+    method = get_method(args.method, args.n)
+    scale = _noise_scale(args, method)
     src = BitSource(args.seed)
-    values = (scale * method._column(src, args.p, args.count)).tolist()
+    values = (scale * method.column(src, args.p, args.count)).tolist()
     payload = {
         "command": "sample",
         "method": method.name,
@@ -260,43 +253,31 @@ def _run_sample(parser, args) -> int:
     return EXIT_OK
 
 
-def _parse_candidates(parser, text: str) -> list[float]:
-    try:
-        cands = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        _fail(parser, f"could not parse candidate list {text!r}")
-    if not cands:
-        _fail(parser, "candidate list is empty")
-    return cands
-
-
-def _run_attack(parser, args) -> int:
-    method = _resolve_method(parser, args)
-    scale = _noise_scale(parser, args, method)
-    candidates = _parse_candidates(parser, args.candidates)
+def _run_attack(args) -> int:
+    method = get_method(args.method, args.n)
+    scale = _noise_scale(args, method)
+    candidates = [float(tok) for tok in args.candidates.split(",") if tok.strip() != ""]
+    if not candidates:
+        raise ValueError("candidate list is empty")
     if args.target is not None and not math.isfinite(args.target):
-        _fail(parser, f"target must be finite, got {args.target}")
+        raise ValueError(f"target must be finite, got {args.target}")
     target = candidates[0] if args.target is None else args.target
     if args.attack_kind == "mironov":
-        family, w, campaign = "laplace", attack_mod.DEFAULT_WINDOW, attack_mod.mironov_attack
-        wrong_family = "the Mironov attack applies to Laplace-family noise"
+        if method.family != "laplace":
+            raise ValueError("the Mironov attack applies to Laplace-family noise")
+        w, campaign = attack_mod.DEFAULT_WINDOW, attack_mod.mironov_attack
     else:
-        family, w, campaign = ("gaussian", attack_mod.DEFAULT_PAIR_WINDOW,
-                               attack_mod.gaussian_pair_attack)
-        wrong_family = "the pair attack applies to Gaussian-family noise"
-    if method.family != family:
-        _fail(parser, wrong_family)
+        if method.family != "gaussian":
+            raise ValueError("the pair attack applies to Gaussian-family noise")
+        w, campaign = attack_mod.DEFAULT_PAIR_WINDOW, attack_mod.gaussian_pair_attack
     if args.window is not None:
         w = args.window
     src = BitSource(args.seed)
     drawer = method.make_drawer(src, args.p)
     oracle = attack_mod.QueryOracle(target, lambda: scale * drawer())
-    try:
-        outcome = campaign(
-            oracle, candidates, p=args.p, w=w, max_queries=args.max_queries, scale=scale
-        )
-    except ValueError as exc:  # the campaign checks its arguments before the first query
-        _fail(parser, str(exc))
+    # the campaign checks its arguments before the first query
+    outcome = campaign(oracle, candidates, p=args.p, w=w, max_queries=args.max_queries,
+                       scale=scale)
 
     payload = {
         "command": "attack",
@@ -330,22 +311,23 @@ def _run_attack(parser, args) -> int:
     return EXIT_OK if outcome.status == "identified" else EXIT_FAIL
 
 
-def _run_verify(parser, args) -> int:
+def _run_verify(args) -> int:
     if args.count < 4:
-        _fail(parser, f"verification needs at least 4 draws, got {args.count}")
-    method = _resolve_method(parser, args)
-    scale = _noise_scale(parser, args, method)
+        raise ValueError(f"verification needs at least 4 draws, got {args.count}")
+    method = get_method(args.method, args.n)
+    scale = _noise_scale(args, method)
     # Deviations from the sample mean are at most 2 * bound * scale, with
     # bound = _draw_bound(method), and the fourth-moment sum over ``count``
     # draws is the first quantity to overflow; it stays finite while
     # count * (2 * bound * scale)**4 does.
     max_scale = (sys.float_info.max / args.count) ** 0.25 / (2 * _draw_bound(method))
     if scale > max_scale:
-        _fail(parser, f"epsilon {args.epsilon} is too small for finite moments over "
-                      f"{args.count} {method.name} draws; it must be at least {1 / max_scale:.3g}")
+        raise ValueError(f"epsilon {args.epsilon} is too small for finite moments over "
+                         f"{args.count} {method.name} draws; "
+                         f"it must be at least {1 / max_scale:.3g}")
     reference = args.against or method.family
     src = BitSource(args.seed)
-    values = scale * method._column(src, args.p, args.count)
+    values = scale * method.column(src, args.p, args.count)
 
     if reference == "laplace":
         # KS against laplace_cdf(x / scale): dividing by scale > 0 keeps the
@@ -360,7 +342,7 @@ def _run_verify(parser, args) -> int:
     try:
         summary = stats.moments(values)
     except ValueError as exc:  # every draw equal, as naive-laplace at p=1
-        _fail(parser, f"cannot verify {method.name} at p={args.p}: {exc}")
+        raise ValueError(f"cannot verify {method.name} at p={args.p}: {exc}") from exc
     ks_pass = stat < critical
     var_pass = abs(summary.variance - ref_variance) <= 0.03 * ref_variance
 
@@ -407,10 +389,11 @@ def _run_verify(parser, args) -> int:
     return EXIT_OK if payload["pass"] else EXIT_FAIL
 
 
-def _run_complexity(parser, args) -> int:
+def _run_complexity(args) -> int:
     if args.count < 1:
-        _fail(parser, f"count must be positive, got {args.count}")
+        raise ValueError(f"count must be positive, got {args.count}")
     theoretical = attack_mod.expected_checks(args.p)
+    src = BitSource(args.seed)  # checks the seed, which the report names even with no draws
     payload = {
         "command": "complexity",
         "p": args.p,
@@ -420,20 +403,18 @@ def _run_complexity(parser, args) -> int:
     rows = [["theoretical_checks", theoretical]]
     if args.theoretical_only:
         if args.window is not None:
-            _fail(parser, "--window applies to the brute-force measurement; "
-                          "it cannot be combined with --theoretical-only")
+            raise ValueError("--window applies to the brute-force measurement; "
+                             "it cannot be combined with --theoretical-only")
         payload["empirical_mean_checks"] = None
         payload["ratio"] = None
         _emit(args, payload, lambda: (["quantity", "value"], rows))
         return EXIT_OK
     if args.p > attack_mod.BRUTE_FORCE_MAX_PRECISION:
-        _fail(
-            parser,
-            f"empirical measurement is limited to p <= {attack_mod.BRUTE_FORCE_MAX_PRECISION}; "
-            f"use --theoretical-only for p = {args.p}",
-        )
+        raise ValueError("empirical measurement is limited to p <= "
+                         f"{attack_mod.BRUTE_FORCE_MAX_PRECISION}; "
+                         f"use --theoretical-only for p = {args.p}")
     w = attack_mod.DEFAULT_WINDOW if args.window is None else args.window
-    src = BitSource(args.seed)
+    check_count(w, "window")  # before the first draw, not at the first search
     stream = GaussianStream(src, args.p)
     total = found = 0
     for _ in range(args.count):
@@ -459,24 +440,16 @@ def _run_complexity(parser, args) -> int:
     return EXIT_OK
 
 
+_HANDLERS = {"sample": _run_sample, "attack": _run_attack,
+             "verify": _run_verify, "complexity": _run_complexity}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _parsers()[0]
     args = _parse(sys.argv[1:] if argv is None else argv)
-    if not 1 <= args.p <= MAX_PRECISION:
-        _fail(parser, f"precision must be in [1, {MAX_PRECISION}], got {args.p}")
-    if args.seed is not None and args.seed < 0:
-        _fail(parser, f"seed must be a non-negative integer, got {args.seed}")
-    if getattr(args, "n", None) is not None and args.n < 1:
-        _fail(parser, f"divisibility must be a positive integer, got {args.n}")
-    if getattr(args, "window", None) is not None and args.window < 0:
-        _fail(parser, f"window must be non-negative, got {args.window}")
-    if args.command == "sample":
-        return _run_sample(parser, args)
-    if args.command == "attack":
-        return _run_attack(parser, args)
-    if args.command == "verify":
-        return _run_verify(parser, args)
-    return _run_complexity(parser, args)
+    try:
+        return _HANDLERS[args.command](args)
+    except ValueError as exc:
+        _parsers()[0].error(str(exc))  # exits with code 2
 
 
 if __name__ == "__main__":

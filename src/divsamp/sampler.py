@@ -12,7 +12,7 @@ exponentials), ``laplace-sqsum`` and ``laplace-proddiff`` (four Gaussians),
 :func:`get_method` is the sampler API: it looks a method up by name and
 returns a :class:`SamplerMethod`, whose ``make_drawer(src, p)`` binds it
 to a bit source for one output per call and whose ``draw(src, p, count)``
-returns a batch.  The forward Box-Muller maps are also exposed as
+returns a batch (``column`` returns the same batch as a float64 array).  The forward Box-Muller maps are also exposed as
 :func:`bm_cos` / :func:`bm_sin` because the attack module must re-evaluate
 them with bit-identical arithmetic.
 
@@ -264,10 +264,14 @@ class SamplerMethod:
         per ``take()``.  Like the drawer, the Box-Muller stream evaluates a
         whole pair for an odd last output and discards its second half.
         """
-        return self._column(src, p, count).tolist()
+        return self.column(src, p, count).tolist()
 
-    def _column(self, src: BitSource, p: int, count: int) -> np.ndarray:
-        """:meth:`draw`'s values as one float64 array, the batches joined once."""
+    def column(self, src: BitSource, p: int, count: int) -> np.ndarray:
+        """:meth:`draw`'s values as one float64 array, the batches joined once.
+
+        For callers that compute on the whole batch, as ``verify`` does;
+        :meth:`draw` is this array's ``tolist()``.
+        """
         check_precision(p)
         check_count(count, "draw count")
         per_call = self.uniforms_per_draw * self._outputs

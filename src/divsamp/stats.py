@@ -170,4 +170,4 @@ def distinct_output_count(
         )
     if draws < 1:
         raise ValueError(f"draw count must be positive, got {draws}")
-    return int(np.unique(method._column(src, p, draws).view(np.uint64)).size)
+    return int(np.unique(method.column(src, p, draws).view(np.uint64)).size)

@@ -317,11 +317,29 @@ def reference_pair_survives(q1, q2, c, p, w, scale):
     if n1 == 0.0 and n2 == 0.0:
         return c + scale * bm_cos(0.0, 0.0) == q1 and c + scale * bm_sin(0.0, 0.0) == q2
     u1, u2 = invert_box_muller(n1, n2)
-    return any(
-        c + scale * bm_cos(a.value, b.value) == q1 and c + scale * bm_sin(a.value, b.value) == q2
-        for a in neighbors(round_to_variate(u1, p), w)
-        for b in neighbors(round_to_variate(u2, p), w)
-    )
+
+    def reproduced(w1, w2):
+        return any(
+            c + scale * bm_cos(a.value, b.value) == q1
+            and c + scale * bm_sin(a.value, b.value) == q2
+            for a in neighbors(round_to_variate(u1, p), w1)
+            for b in neighbors(round_to_variate(u2, p), w2)
+        )
+
+    if reproduced(w, w):
+        return True
+    # the second search, over the window widened by the grid steps that
+    # rounding the queries to their ulps can move u1 and u2
+    r = math.hypot(n1, n2)
+    if math.isinf(r):
+        return False
+    e = (math.ulp(q1) + math.ulp(q2)) / (2.0 * scale)
+    t1 = e * (r * math.exp(-0.5 * r * r)) * 2.0**p
+    t2 = e / (2.0 * math.pi * r) * 2.0**p
+    if (t1 < 1.0) == (t2 < 1.0):
+        return False
+    w1, w2 = w + math.ceil(t1), w + math.ceil(t2)
+    return (2 * w1 + 1) * (2 * w2 + 1) > MAX_CHECK_EVALUATIONS or reproduced(w1, w2)
 
 
 class TestNearestFirst:
@@ -466,6 +484,20 @@ class TestTrueCandidateSurvives:
         u2 = math.ldexp(data.draw(grid, label="m2"), -p)
         q1, q2 = c + scale * bm_cos(u1, u2), c + scale * bm_sin(u1, u2)
         assume(math.isfinite(q1) and math.isfinite(q2))
+        assert _pair_survives(q1, q2, c, p, DEFAULT_PAIR_WINDOW, scale)
+
+    # |c| far above scale * |noise|: (q - c) / scale keeps only some of the
+    # noise's bits, and the recovered angle rounds outside the default window,
+    # 5 grid steps from m2 in the first case and 24 in the second.  The first
+    # is kept because its widened window is past the cap; the widened search
+    # finds the second.
+    @pytest.mark.parametrize("p,c,scale,m1,m2", [
+        (48, 1.8014398509481988e16, 2.554080168852785e16, 48, 12953543832023),
+        (25, -6.125444259775927e291, 9.380297708467484e283, 3, 22503124),
+    ])
+    def test_pair_far_from_zero(self, p, c, scale, m1, m2):
+        u1, u2 = math.ldexp(m1, -p), math.ldexp(m2, -p)
+        q1, q2 = c + scale * bm_cos(u1, u2), c + scale * bm_sin(u1, u2)
         assert _pair_survives(q1, q2, c, p, DEFAULT_PAIR_WINDOW, scale)
 
 

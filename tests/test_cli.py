@@ -8,6 +8,7 @@ through the ``[project.scripts]`` entry point, through ``python -m divsamp``
 and, where one is installed, through the ``divsamp`` executable.
 """
 
+import errno
 import json
 import math
 import os
@@ -22,11 +23,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divsamp
+import divsamp.cli
+from divsamp.attack import brute_force_single_gaussian
 from divsamp.cli import EXIT_FAIL, EXIT_OK, _json, _parse, build_parser, main
 from divsamp.dist import gaussian_cdf, laplace_cdf
-from divsamp.sampler import get_method, method_names
-from divsamp.stats import ks_p_value, ks_statistic
-from divsamp.urand import BitSource
+from divsamp.sampler import GaussianStream, get_method, method_names
+from divsamp.stats import ks_p_value, ks_statistic, moments
+from divsamp.urand import BitSource, check_count, check_precision
 
 DATA = Path(__file__).parent / "data"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -161,6 +164,7 @@ class TestSample:
             ["sample", "--method", "laplace-logcos", "--epsilon", "1e-308",
              "--seed", "1", "--count", "200"],
             ["sample", "--seed", "-1", "--count", "3"],
+            ["sample", "--method", "secure-gaussian", "--n", "-2"],
         ],
     )
     def test_usage_errors(self, argv, capsys):
@@ -285,6 +289,8 @@ class TestAttack:
             ["attack", "--attack", "gaussian-pair", "--method", "box-muller",
              "--window", "128", "--seed", "1"],
             ["attack", "--seed", "-1"],
+            ["attack", "--p", "54"],
+            ["attack", "--attack", "gaussian-pair", "--method", "box-muller", "--window", "-1"],
         ],
     )
     def test_usage_errors(self, argv, capsys):
@@ -406,6 +412,8 @@ class TestVerify:
             # naive-laplace emits only 0.0 at p=1: no variance to check
             ["verify", "--p", "1", "--seed", "0", "--count", "10"],
             ["verify", "--seed", "-1", "--count", "100"],
+            ["verify", "--p", "0", "--count", "100"],
+            ["verify", "--method", "secure-gaussian", "--n", "0", "--count", "100"],
         ],
     )
     def test_usage_errors(self, argv, capsys):
@@ -489,12 +497,75 @@ class TestComplexity:
             ["complexity", "--p", "8", "--count", "5", "--seed", "-1"],
             ["complexity", "--p", "12", "--theoretical-only", "--count", "-5"],
             ["complexity", "--p", "53", "--theoretical-only", "--window", "2"],
+            ["complexity", "--p", "12", "--theoretical-only", "--seed", "-1"],
+            ["complexity", "--p", "8", "--window", "-1"],
         ],
     )
     def test_usage_errors(self, argv, capsys):
         code, _, err = run_cli(argv, capsys)
         assert code == 2
         assert err != ""
+
+
+def library_message(call, *args) -> str:
+    """The message of the ValueError that ``call(*args)`` raises."""
+    with pytest.raises(ValueError) as exc:
+        call(*args)
+    return str(exc.value)
+
+
+class TestOneErrorPath:
+    """main() alone turns a ValueError into a usage error, and only a ValueError.
+
+    Handlers and the library raise ``ValueError`` for a bad argument; the
+    message on stderr is the library's own.
+    """
+
+    @pytest.mark.parametrize("argv,out,message", [
+        (["sample", "--p", "0"], "report.json",
+         lambda out: library_message(check_precision, 0)),
+        (["attack", "--seed", "-1"], "report.json",
+         lambda out: library_message(BitSource, -1)),
+        (["sample", "--n", "0"], "report.json",
+         lambda out: library_message(get_method, "naive-laplace", 0)),
+        (["attack", "--window", "-1"], "report.json",
+         lambda out: library_message(check_count, -1, "window")),
+        (["complexity", "--p", "8", "--window", "-1"], "report.json",
+         lambda out: library_message(brute_force_single_gaussian, 0.5, 8, -1)),
+        (["verify", "--p", "1", "--seed", "0", "--count", "10"], "report.json",
+         lambda out: "cannot verify naive-laplace at p=1: "
+                     + library_message(moments, [0.0] * 10)),
+        (["sample", "--seed", "1"], "missing/report.json",
+         lambda out: f"cannot write {out}: {os.strerror(errno.ENOENT)}"),
+    ])
+    def test_message_is_the_library_s(self, argv, out, message, capsys, tmp_path):
+        out = tmp_path / out
+        code, stdout, err = run_cli([*argv, "--out", str(out)], capsys)
+        assert (code, stdout) == (2, "")
+        assert err.splitlines()[-1] == "divsamp: error: " + message(out)
+        assert not out.exists()
+
+    def test_rejected_before_the_first_draw(self, capsys, monkeypatch):
+        calls = []
+
+        class Counted(GaussianStream):
+            def next(self):
+                calls.append(1)
+                return super().next()
+
+        monkeypatch.setattr(divsamp.cli, "GaussianStream", Counted)
+        code, out, _ = run_cli(["complexity", "--p", "8", "--count", "3", "--window", "-1"],
+                               capsys)
+        assert (code, out, calls) == (2, "", [])
+
+    def test_other_exceptions_propagate(self, capsys, monkeypatch):
+        def broken(seed=None):
+            raise RuntimeError("not a usage error")
+
+        monkeypatch.setattr(divsamp.cli, "BitSource", broken)
+        with pytest.raises(RuntimeError, match="not a usage error"):
+            main(["sample", "--seed", "1"])
+        assert capsys.readouterr() == ("", "")
 
 
 # report-shaped JSON trees: str keys; nested dicts, lists, tuples and empty
