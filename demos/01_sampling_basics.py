@@ -39,7 +39,7 @@ for i, name in enumerate(method_names()):
     stat = ks_statistic(xs, cdf)
     m = moments(xs)
     print(f"{name:<20} {method.family:<9} {method.uniforms_per_draw:>6} "
-          f"{stat:>8.4f} {ks_critical_value(N, 0.01):>8.4f} "
+          f"{stat:>8.4f} {ks_critical_value(N):>8.4f} "
           f"{m.mean:>8.4f} {m.variance:>7.3f} {m.skewness:>7.3f} "
           f"{m.excess_kurtosis:>7.3f}")
 

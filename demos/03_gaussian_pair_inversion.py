@@ -68,7 +68,7 @@ for n in (1, 2):
 
 # --- why the defense still samples correctly --------------------------------
 
-xs = get_method("secure-gaussian", 2).draw(BitSource(seed=77), 53, 50_000)
+xs = get_method("secure-gaussian", 2).column(BitSource(seed=77), 53, 50_000).tolist()
 mean = sum(xs) / len(xs)
 var = sum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
 print()

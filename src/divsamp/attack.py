@@ -24,15 +24,7 @@ from itertools import chain, repeat
 from typing import Callable, Iterator
 
 from .dist import laplace_cdf
-from .sampler import (
-    TWO_PI,
-    GaussianStream,
-    _bm_radius,
-    bm_cos,
-    bm_radius,
-    bm_sin,
-    naive_laplace_from_numerator,
-)
+from .sampler import TWO_PI, GaussianStream, _bm_radius, bm_radius, naive_laplace_from_numerator
 from .urand import DEFAULT_PRECISION, check_count, check_precision, grid_round
 
 DEFAULT_WINDOW = 2
@@ -125,7 +117,7 @@ def _campaign_candidates(
         raise ValueError(f"window {w} is too large: a survival check would evaluate "
                          f"{(2 * w + 1) ** arity} grid points, more than "
                          f"{MAX_CHECK_EVALUATIONS}")
-    if not (scale > 0 and math.isfinite(scale)):
+    if isinstance(scale, bool) or not (scale > 0 and math.isfinite(scale)):
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
     cands = [float(c) for c in candidates]
     if not cands:
@@ -171,7 +163,7 @@ def _eliminate(
 
 
 def _nearest_first(m: int, p: int, w: int) -> Iterator[int]:
-    # grid_window(m, p, w)'s numerators in the order m, m-1, m+1, m-2, ...,
+    # The numerators within w steps of m in the order m, m-1, m+1, m-2, ...,
     # truncated at the grid edges.  The true grid point is almost always m
     # itself, and a survival check is an any() over its window, so visiting
     # nearest-first stops a surviving check early without changing a result.
@@ -296,7 +288,7 @@ def _pair_survives(
     n2 = (q2 - c) / scale
     if n1 == 0.0 and n2 == 0.0:
         # Only the zero-radius grid point reproduces an exact (0, 0) pair.
-        return c + scale * bm_cos(0.0, 0.0) == q1 and c + scale * bm_sin(0.0, 0.0) == q2
+        return _pair_matches(q1, q2, c, p, scale, 0, 0, 0, 0)
     u1, u2 = invert_box_muller(n1, n2)
     m1, m2 = grid_round(u1, p), grid_round(u2, p)
     if _pair_matches(q1, q2, c, p, scale, m1, w, m2, w):

@@ -31,11 +31,7 @@ from .urand import MAX_PRECISION, BitSource, check_count
 EXIT_OK = 0
 EXIT_FAIL = 2
 
-__all__ = ["main", "build_parser"]
-
-
-def build_parser() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
+__all__ = ["main"]
 
 
 def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -338,7 +334,7 @@ def _run_verify(args) -> int:
     else:
         stat = stats.ks_statistic(values, dist.gaussian_cdf)
         ref_variance = 1.0
-    critical = float(stats.ks_critical_value(args.count, 0.01))
+    critical = stats.ks_critical_value(args.count)
     try:
         summary = stats.moments(values)
     except ValueError as exc:  # every draw equal, as naive-laplace at p=1

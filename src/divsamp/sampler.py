@@ -11,10 +11,10 @@ exponentials), ``laplace-sqsum`` and ``laplace-proddiff`` (four Gaussians),
 
 :func:`get_method` is the sampler API: it looks a method up by name and
 returns a :class:`SamplerMethod`, whose ``make_drawer(src, p)`` binds it
-to a bit source for one output per call and whose ``draw(src, p, count)``
-returns a batch (``column`` returns the same batch as a float64 array).  The forward Box-Muller maps are also exposed as
-:func:`bm_cos` / :func:`bm_sin` because the attack module must re-evaluate
-them with bit-identical arithmetic.
+to a bit source for one output per call and whose ``column(src, p, count)``
+returns a batch as one float64 array.  The forward Box-Muller maps are
+also exposed, one output at a time, as :func:`bm_cos` / :func:`bm_sin`;
+the pair attack re-evaluates them with bit-identical arithmetic.
 
 Each method's arithmetic is written once, as a *kernel*: a function of
 ``(take, p, lm)`` that pulls the grid numerators of one output, in draw
@@ -23,7 +23,7 @@ Box-Muller pair kernel returns both halves of the pair), calling
 ``log``, ``cos``, ``sin``, ``sqrt`` and ``ldexp`` on the namespace ``lm``.
 The drawer feeds a kernel single raw numerators, with ``lm = math``; the
 precision is checked once, when the drawer is made.
-:meth:`SamplerMethod.draw` feeds it numpy columns of numerators, one
+:meth:`SamplerMethod.column` feeds it numpy columns of numerators, one
 element per output, with ``lm =`` :data:`~divsamp.columns.COLUMN_MATH`.
 Sign selections are written ``1 - 2 [condition]``, which Python and
 numpy evaluate alike, so both paths give the same bits.
@@ -44,7 +44,7 @@ from .urand import BitSource, DEFAULT_PRECISION, _take_numerator, check_count, c
 
 DEFAULT_DIVISIBILITY = 4
 TWO_PI = 2.0 * math.pi
-# Uniforms drawn per batch by SamplerMethod.draw: the smallest batch within
+# Uniforms drawn per batch by SamplerMethod.column: the smallest batch within
 # 3% of the fastest `verify-sweep` measured (2048 to 32768).  It runs a
 # 16-uniform method's libm maps over 512-row columns; larger batches were
 # no faster and raised peak memory.
@@ -150,7 +150,6 @@ class GaussianStream:
 
     def __init__(self, src: BitSource, p: int = DEFAULT_PRECISION) -> None:
         check_precision(p)
-        self.src = src
         self.p = p
         self._take = partial(_take_numerator, src, p)
         self._cache: float | None = None
@@ -253,24 +252,17 @@ class SamplerMethod:
             return partial(self._kernel, partial(_take_numerator, src, p), p, math)
         return GaussianStream(src, p).next
 
-    def draw(self, src: BitSource, p: int = DEFAULT_PRECISION, count: int = 1) -> list[float]:
-        """The values of ``count`` calls to ``make_drawer(src, p)()``, bit for bit.
+    def column(self, src: BitSource, p: int, count: int) -> np.ndarray:
+        """The values of ``count`` calls to ``make_drawer(src, p)()``, bit for bit, as float64.
 
         Leaves ``src``'s counters and generator exactly where those calls
         would.  Numerators come from :meth:`BitSource.numerators` in batches
         of about :data:`DRAW_BATCH_UNIFORMS` uniforms.  A batch of ``k``
         kernel calls is a ``(k, per_call)`` array, and the kernel runs once
         over it, on :data:`~divsamp.columns.COLUMN_MATH`, taking one column
-        per ``take()``.  Like the drawer, the Box-Muller stream evaluates a
-        whole pair for an odd last output and discards its second half.
-        """
-        return self.column(src, p, count).tolist()
-
-    def column(self, src: BitSource, p: int, count: int) -> np.ndarray:
-        """:meth:`draw`'s values as one float64 array, the batches joined once.
-
-        For callers that compute on the whole batch, as ``verify`` does;
-        :meth:`draw` is this array's ``tolist()``.
+        per ``take()``; the batches are joined once.  Like the drawer, the
+        Box-Muller stream evaluates a whole pair for an odd last output and
+        discards its second half.  Callers that need a list call ``tolist()``.
         """
         check_precision(p)
         check_count(count, "draw count")

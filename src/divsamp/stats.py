@@ -21,13 +21,11 @@ from .sampler import SamplerMethod
 from .urand import BitSource, check_precision
 
 KS_CRIT_001 = 1.628
-KS_CRIT_005 = 1.358
 
 DISTINCT_COUNT_MAX_PRECISION = 16
 
 __all__ = [
     "KS_CRIT_001",
-    "KS_CRIT_005",
     "ks_critical_value",
     "ks_p_value",
     "ks_statistic",
@@ -37,32 +35,33 @@ __all__ = [
 ]
 
 
-def ks_critical_value(n: int, alpha: float = 0.01) -> float:
-    """Asymptotic two-sided KS critical value ``c(alpha) / sqrt(n)``.
+def _check_sample_count(n: int) -> None:
+    # bool is an int subclass; True must not pass as one sample
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"sample count must be a positive integer, got {n!r}")
 
-    Supported levels are 0.01 (c = 1.628) and 0.05 (c = 1.358).
-    """
-    if n < 1:
-        raise ValueError(f"sample count must be positive, got {n}")
-    if alpha == 0.01:
-        c = KS_CRIT_001
-    elif alpha == 0.05:
-        c = KS_CRIT_005
-    else:
-        raise ValueError(f"unsupported significance level {alpha!r}")
-    return c / np.sqrt(n)
+
+def ks_critical_value(n: int) -> float:
+    """Asymptotic two-sided KS critical value at level 0.01: ``1.628 / sqrt(n)``."""
+    _check_sample_count(n)
+    return KS_CRIT_001 / math.sqrt(n)
 
 
 def ks_p_value(statistic: float, n: int) -> float:
     """Asymptotic two-sided KS p-value: the Kolmogorov tail ``P(K > sqrt(n) D)``.
 
     The large-``n`` approximation :func:`ks_critical_value` also uses, so a
-    critical value's p-value is close to its ``alpha``.  Four terms of
+    critical value's p-value is close to 0.01.  Four terms of
     ``2 sum (-1)**(k-1) exp(-2 k**2 t**2)`` for ``t >= 1.18``, and of the
     series ``1 - sqrt(2 pi) / t sum exp(-(2k-1)**2 pi**2 / (8 t**2))`` below.
+
+    Raises:
+        ValueError: for a statistic outside [0, 1] (NaN included), or an
+            ``n`` that is not a positive ``int``.
     """
-    if n < 1:
-        raise ValueError(f"sample count must be positive, got {n}")
+    _check_sample_count(n)
+    if not 0.0 <= statistic <= 1.0:
+        raise ValueError(f"KS statistic must lie in [0, 1], got {statistic!r}")
     t = math.sqrt(n) * statistic
     if t <= 0.0:
         return 1.0
@@ -115,7 +114,6 @@ def ks_statistic(samples, cdf: Callable[[float], float]) -> float:
 class MomentSummary:
     """Sample moments: unbiased mean/variance, standardized third/fourth."""
 
-    count: int
     mean: float
     variance: float
     skewness: float
@@ -146,7 +144,6 @@ def moments(samples) -> MomentSummary:
     m3 = float(np.mean(d**3))
     m4 = float(np.mean(d**4))
     return MomentSummary(
-        count=int(n),
         mean=mean,
         variance=variance,
         skewness=m3 / m2**1.5,

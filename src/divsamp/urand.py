@@ -5,7 +5,9 @@ They consume :class:`UniformVariate` values: dyadic rationals ``m * 2**-p``
 with an integer numerator drawn from a :class:`BitSource`.  Working on the
 numerator keeps every grid operation (rounding, neighbourhoods, bit splits)
 exact, which is what the inversion attacks and the hardened samplers both
-rely on.
+rely on.  The attacks round with the unchecked :func:`grid_round`;
+:func:`round_to_variate` and :func:`neighbors` are its validated forms,
+returning :class:`UniformVariate` values.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "BitSource",
     "next_uniform",
     "grid_round",
-    "grid_window",
     "round_to_variate",
     "neighbors",
 ]
@@ -196,11 +197,6 @@ def grid_round(x: float, p: int) -> int:
     return m if m < 1 << p else (1 << p) - 1
 
 
-def grid_window(m: int, p: int, w: int) -> range:
-    """Ascending numerators within ``w`` steps of ``m``, truncated at the grid edges."""
-    return range(max(0, m - w), min((1 << p) - 1, m + w) + 1)
-
-
 def round_to_variate(x: float, p: int) -> UniformVariate:
     """The grid point nearest ``x`` as a validated variate (see :func:`grid_round`)."""
     check_precision(p)
@@ -216,4 +212,5 @@ def neighbors(u: UniformVariate, w: int) -> list[UniformVariate]:
     window is truncated rather than wrapped.  ``w`` must be a non-negative ``int``.
     """
     check_count(w, "window")
-    return [UniformVariate(m, u.p) for m in grid_window(u.m, u.p, w)]
+    lo, hi = max(0, u.m - w), min((1 << u.p) - 1, u.m + w)
+    return [UniformVariate(m, u.p) for m in range(lo, hi + 1)]

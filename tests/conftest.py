@@ -1,14 +1,36 @@
-"""Shared test helpers."""
+"""Shared test helpers, and a report header naming the libm under test."""
 
 from __future__ import annotations
 
+import hashlib
 import math
+import platform
+import struct
 
 import numpy as np
 
 from divsamp.attack import BruteForceResult, count_feasible_checks
 from divsamp.sampler import TWO_PI, bm_radius
 from divsamp.urand import BitSource
+
+
+def libm_fingerprint() -> str:
+    """A short SHA-256 of the bits ``math.log``, ``exp``, ``cos`` and ``sin`` return.
+
+    Evaluated on a fixed list of inputs in (0, 700], so every value is
+    finite.  The golden reports pin bits of the host's libm; two hosts with
+    the same fingerprint agree on these inputs, and a golden-file failure on
+    a host with another fingerprint points at its libm first.
+    """
+    xs = [math.ldexp(k, -6) for k in range(1, 44_800, 37)]
+    bits = struct.pack(f"<{4 * len(xs)}d", *(f(x) for f in (math.log, math.exp, math.cos, math.sin)
+                                             for x in xs))
+    return hashlib.sha256(bits).hexdigest()[:16]
+
+
+def pytest_report_header(config):
+    libc, version = platform.libc_ver()
+    return f"libm: {libc or 'unknown libc'} {version}, fingerprint {libm_fingerprint()}"
 
 
 class ScriptedSource(BitSource):

@@ -40,7 +40,7 @@ from divsamp.sampler import (
     get_method,
     naive_laplace_from_numerator,
 )
-from divsamp.urand import BitSource, grid_window, neighbors, next_uniform, round_to_variate
+from divsamp.urand import BitSource, neighbors, next_uniform, round_to_variate
 from conftest import reference_brute_force
 
 # invalid campaign arguments shared by both attacks; each must be rejected
@@ -59,6 +59,7 @@ BAD_CAMPAIGN_KWARGS = [
     {"w": True},
     {"max_queries": True},
     {"max_queries": 2.5},
+    {"scale": True},
 ]
 
 
@@ -343,7 +344,7 @@ def reference_pair_survives(q1, q2, c, p, w, scale):
 
 
 class TestNearestFirst:
-    """The survival checks' window order: the same numerators as grid_window, nearest first."""
+    """The survival checks' window order: the clamped window's numerators, nearest first."""
 
     @pytest.mark.parametrize("m,p,w,expected", [
         (5, 4, 2, [5, 4, 6, 3, 7]),
@@ -366,7 +367,8 @@ class TestNearestFirst:
         w = data.draw(st.integers(min_value=0, max_value=40), label="w")
         order = list(_nearest_first(m, p, w))
         # sorted() is stable, so among equal distances m - d comes before m + d
-        assert order == sorted(grid_window(m, p, w), key=lambda k: abs(k - m))
+        window = range(max(0, m - w), min((1 << p) - 1, m + w) + 1)
+        assert order == sorted(window, key=lambda k: abs(k - m))
 
     @pytest.mark.parametrize("target", [0.0, 1.0, -0.375])
     @pytest.mark.parametrize("p", [8, 53])
@@ -499,6 +501,47 @@ class TestTrueCandidateSurvives:
         u1, u2 = math.ldexp(m1, -p), math.ldexp(m2, -p)
         q1, q2 = c + scale * bm_cos(u1, u2), c + scale * bm_sin(u1, u2)
         assert _pair_survives(q1, q2, c, p, DEFAULT_PAIR_WINDOW, scale)
+
+
+class TestExactZeroPair:
+    """The exact (0, 0) noise pair, a branch of the pair check Hypothesis rarely reaches.
+
+    Only the zero-radius grid point (``m1 = 0``) gives zero noise; its radius
+    is ``sqrt(-0.0) = -0.0``, so both halves are ``-0.0`` times a cosine or
+    sine, at any angle.
+    """
+
+    @pytest.mark.parametrize("p", [1, 8, 53])
+    @pytest.mark.parametrize("scale", [1.0, 0.25])
+    @pytest.mark.parametrize("c", [0.0, 1.0, -3.5])
+    def test_zero_radius_pair(self, c, scale, p):
+        for m2 in (0, 1, (1 << p) - 1):
+            u2 = math.ldexp(m2, -p)
+            q1, q2 = c + scale * bm_cos(0.0, u2), c + scale * bm_sin(0.0, u2)
+            assert (q1 - c) / scale == 0.0 == (q2 - c) / scale
+            assert _pair_survives(q1, q2, c, p, DEFAULT_PAIR_WINDOW, scale)
+            # a wrong candidate sees noise (-10/scale, -10/scale), of radius
+            # past sqrt(2 * 53 ln 2), the largest any grid pair reaches
+            assert not _pair_survives(q1, q2, c + 10.0, p, DEFAULT_PAIR_WINDOW, scale)
+            for cand in (c, c + 10.0):
+                assert _pair_survives(q1, q2, cand, p, DEFAULT_PAIR_WINDOW, scale) == (
+                    reference_pair_survives(q1, q2, cand, p, DEFAULT_PAIR_WINDOW, scale))
+
+    @pytest.mark.parametrize("scale", [1.0, 0.25])
+    @pytest.mark.parametrize("q1,q2,c", [
+        (-0.0, 0.0, 0.0), (0.0, -0.0, 0.0), (-0.0, -0.0, 0.0), (0.0, 0.0, -0.0),
+        (-0.0, -0.0, -0.0),
+    ])
+    def test_signed_zero_queries(self, q1, q2, c, scale):
+        assert _pair_survives(q1, q2, c, 53, DEFAULT_PAIR_WINDOW, scale)
+        assert reference_pair_survives(q1, q2, c, 53, DEFAULT_PAIR_WINDOW, scale)
+
+    def test_underflowed_noise_is_eliminated(self):
+        # (q1 - c) / scale underflows to 0.0, yet c + scale * (-0.0) is 0.0, not q1
+        q1, q2, c, scale = 5e-324, 0.0, 0.0, 4.0
+        assert (q1 - c) / scale == 0.0
+        assert not _pair_survives(q1, q2, c, 53, DEFAULT_PAIR_WINDOW, scale)
+        assert not reference_pair_survives(q1, q2, c, 53, DEFAULT_PAIR_WINDOW, scale)
 
 
 class TestReach:

@@ -17,7 +17,6 @@ from divsamp.sampler import SamplerMethod, get_method
 from divsamp.stats import (
     DISTINCT_COUNT_MAX_PRECISION,
     KS_CRIT_001,
-    KS_CRIT_005,
     MomentSummary,
     distinct_output_count,
     ks_critical_value,
@@ -32,32 +31,35 @@ from conftest import ScriptedSource
 
 class TestKsCriticalValue:
     def test_known_levels(self):
-        assert ks_critical_value(100, 0.01) == KS_CRIT_001 / 10.0
-        assert ks_critical_value(10_000, 0.05) == KS_CRIT_005 / 100.0
+        assert ks_critical_value(100) == KS_CRIT_001 / 10.0
+        assert ks_critical_value(10_000) == KS_CRIT_001 / 100.0
 
-    def test_one_percent_is_stricter(self):
-        assert ks_critical_value(500, 0.01) > ks_critical_value(500, 0.05)
-
-    def test_unsupported_level(self):
-        with pytest.raises(ValueError):
-            ks_critical_value(100, 0.10)
+    def test_same_bits_as_numpy_sqrt(self):
+        # verify reports this value, and the golden reports hold KS_CRIT_001 / np.sqrt(n)
+        for n in [1, 2, 3, 4, 5, 7, 3001, 100_000, 2**31 - 1, 2**53 + 1, 2**62]:
+            assert ks_critical_value(n) == float(KS_CRIT_001 / np.sqrt(n))
 
     def test_bad_count(self):
         with pytest.raises(ValueError):
             ks_critical_value(0)
 
+    @pytest.mark.parametrize("n", [2.5, 10.0, True, False, -3, "10"])
+    def test_non_int_or_non_positive_count(self, n):
+        with pytest.raises(ValueError, match="sample count must be a positive integer"):
+            ks_critical_value(n)
+
 
 class TestKsPValue:
     def test_matches_scipy_kolmogorov_tail(self):
         for n in (4, 100, 2000):
-            for d in np.linspace(0.0, 3.0 / math.sqrt(n), 61):
+            # a KS statistic lies in [0, 1]; 3 / sqrt(n) passes 1 at n = 4
+            for d in np.linspace(0.0, min(1.0, 3.0 / math.sqrt(n)), 61):
                 want = scipy.stats.kstwobign.sf(math.sqrt(n) * d)
                 assert ks_p_value(float(d), n) == pytest.approx(want, rel=1e-9, abs=1e-15)
 
     def test_critical_values_sit_at_their_level(self):
-        for alpha in (0.01, 0.05):
-            p = ks_p_value(float(ks_critical_value(2000, alpha)), 2000)
-            assert p == pytest.approx(alpha, rel=0.01)
+        p = ks_p_value(ks_critical_value(2000), 2000)
+        assert p == pytest.approx(0.01, rel=0.01)
 
     def test_in_unit_interval_and_decreasing(self):
         ps = [ks_p_value(d, 500) for d in np.linspace(0.0, 1.0, 2001).tolist()]
@@ -72,6 +74,22 @@ class TestKsPValue:
     def test_bad_count(self):
         with pytest.raises(ValueError):
             ks_p_value(0.1, 0)
+
+    @pytest.mark.parametrize("n", [2.5, 10.0, True, False, -3])
+    def test_non_int_or_non_positive_count(self, n):
+        with pytest.raises(ValueError, match="sample count must be a positive integer"):
+            ks_p_value(0.1, n)
+
+    @pytest.mark.parametrize("statistic", [math.nan, -0.5, -1e-300, 1.0000000000000002,
+                                           math.inf, -math.inf])
+    def test_statistic_outside_unit_interval(self, statistic):
+        with pytest.raises(ValueError, match=r"KS statistic must lie in \[0, 1\]"):
+            ks_p_value(statistic, 10)
+
+    def test_unit_interval_ends_accepted(self):
+        assert ks_p_value(0.0, 10) == 1.0
+        assert ks_p_value(-0.0, 10) == 1.0
+        assert 0.0 <= ks_p_value(1.0, 10) < 1e-8
 
 
 class TestKsStatistic:
@@ -113,7 +131,7 @@ class TestKsStatistic:
         rng = np.random.default_rng(502)
         xs = rng.random(10_000)
         uniform_cdf = lambda x: min(max(x, 0.0), 1.0)
-        assert ks_statistic(xs, uniform_cdf) < ks_critical_value(10_000, 0.01)
+        assert ks_statistic(xs, uniform_cdf) < ks_critical_value(10_000)
 
     def test_distinguishes_laplace_from_matched_gaussian(self):
         # A variance-matched Gaussian is the closest the family gets, and
@@ -126,9 +144,9 @@ class TestKsStatistic:
         rng = np.random.default_rng(503)
         xs = rng.laplace(size=10_000)
         matched = lambda x: gaussian_cdf(x / math.sqrt(2.0))
-        assert ks_statistic(xs, matched) > ks_critical_value(10_000, 0.01)
+        assert ks_statistic(xs, matched) > ks_critical_value(10_000)
         assert ks_statistic(xs, matched) == pytest.approx(gap, abs=0.02)
-        assert ks_statistic(xs, laplace_cdf) < ks_critical_value(10_000, 0.01)
+        assert ks_statistic(xs, laplace_cdf) < ks_critical_value(10_000)
 
     def test_unsorted_input_allowed(self):
         rng = np.random.default_rng(504)
@@ -157,7 +175,6 @@ class TestEmpiricalCdf:
 class TestMoments:
     def test_hand_computed_example(self):
         s = moments([1.0, 2.0, 3.0, 4.0])
-        assert s.count == 4
         assert s.mean == 2.5
         assert s.variance == pytest.approx(5.0 / 3.0, rel=1e-15)
         assert s.skewness == 0.0
