@@ -20,11 +20,10 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 from typing import Callable, Iterator
 
 from .dist import laplace_cdf
-from .sampler import TWO_PI, GaussianStream, _bm_radius, bm_radius, naive_laplace_from_numerator
+from .sampler import TWO_PI, GaussianStream, _bm_radius, naive_laplace_from_numerator
 from .urand import DEFAULT_PRECISION, check_count, check_precision, grid_round
 
 DEFAULT_WINDOW = 2
@@ -37,12 +36,19 @@ BRUTE_FORCE_MAX_PRECISION = 20
 # attack.  At p=53 no clamp to the grid helps, so a larger window would run
 # for hours; it is rejected before the first query instead.
 MAX_CHECK_EVALUATIONS = 2**16
+# A brute-force search scans up to min(2(2w+1), 2**p) angles in each of
+# its 2**p rows.  At about 20 ns per angle, this cap keeps one search to a
+# couple of seconds.  It admits p = 20 with the default window (about
+# 1.05e7 points) and any window at p <= 13; a larger search would run for
+# hours at p = 20, so it is rejected before the cosine table is built.
+MAX_SEARCH_POINTS = 2**26
 
 __all__ = [
     "DEFAULT_WINDOW",
     "DEFAULT_PAIR_WINDOW",
     "BRUTE_FORCE_MAX_PRECISION",
     "MAX_CHECK_EVALUATIONS",
+    "MAX_SEARCH_POINTS",
     "QueryOracle",
     "PhaseAlignmentError",
     "AttackOutcome",
@@ -386,6 +392,22 @@ class BruteForceResult:
     checks: int
 
 
+def _check_search(p: int, w: int) -> None:
+    # The precision and window checks of brute_force_single_gaussian, which
+    # complexity also runs before its first draw.
+    check_precision(p)
+    if p > BRUTE_FORCE_MAX_PRECISION:
+        raise ValueError(
+            f"brute force is limited to p <= {BRUTE_FORCE_MAX_PRECISION}, got {p}"
+        )
+    check_count(w, "window")
+    points = (1 << p) * min(2 * (2 * w + 1), 1 << p)
+    if points > MAX_SEARCH_POINTS:
+        raise ValueError(f"window {w} is too large at p = {p}: the search would "
+                         f"evaluate up to {points} grid points, more than "
+                         f"{MAX_SEARCH_POINTS}")
+
+
 def brute_force_single_gaussian(
     n1: float, p: int, w: int = DEFAULT_WINDOW
 ) -> BruteForceResult:
@@ -395,23 +417,23 @@ def brute_force_single_gaussian(
     analytic edge to absorb boundary rounding).  For each ``u1`` the angle
     is recovered from ``n1 / radius``; both arccos branches are rounded to
     the grid and the ``w``-neighbourhood of each is re-evaluated forward,
-    keeping pairs that reproduce ``n1`` exactly.  The angle cosines come
-    from a table of all ``2**p`` of them, built once per call (``2**p``
-    doubles: 8 MiB at ``p = 20``).  Restricted to ``p <= 20`` — the window
-    size grows as ``2**(p - 1/2)``.
+    keeping pairs that reproduce ``n1`` exactly.  The radii come from one
+    map chain over the rows, and the angle cosines from a table of all
+    ``2**p`` of them (``2**p`` doubles: 8 MiB at ``p = 20``), both built
+    once per call from exact scaled integers.  Each row then scans its two
+    branch windows of the table with a plain loop.  Restricted to
+    ``p <= 20`` — the window size grows as ``2**(p - 1/2)`` — and to
+    searches of at most ``MAX_SEARCH_POINTS`` grid points, counted as
+    ``2**p`` rows of ``min(2 * (2w + 1), 2**p)`` angles each.
 
     Raises:
-        ValueError: if ``p`` exceeds the tractability bound or ``n1`` is
-            not finite.
+        ValueError: if ``p`` exceeds the tractability bound, ``n1`` is not
+            finite, or ``w`` is negative, not an ``int``, or so wide that
+            the search would pass ``MAX_SEARCH_POINTS``.
     """
-    check_precision(p)
-    if p > BRUTE_FORCE_MAX_PRECISION:
-        raise ValueError(
-            f"brute force is limited to p <= {BRUTE_FORCE_MAX_PRECISION}, got {p}"
-        )
+    _check_search(p, w)
     if not math.isfinite(n1):
         raise ValueError(f"need a finite output value, got {n1!r}")
-    check_count(w, "window")
 
     size = 1 << p
     # Wider windows reach no further grid points: start is already 0, and
@@ -419,34 +441,49 @@ def brute_force_single_gaussian(
     w = min(w, size)
     pairs: list[tuple[int, int]] = []
     start = max(0, size - count_feasible_checks(n1, p) - w)
-    ldexp = math.ldexp
+    first = max(start, 1)
     acos = math.acos
+    step = 2.0**-p
+    fsize = float(size)
     # The cosine of every grid angle, each computed once per call by the
     # same expression the forward map uses.  Filled straight from the
     # iterator: a list of the floats first would take four times the memory.
-    cosines = array("d", map(math.cos, map(TWO_PI.__mul__, map(ldexp, range(size), repeat(-p)))))
+    # (TWO_PI * 2**-p) * m2 is TWO_PI * ldexp(m2, -p): the power-of-two
+    # scale is exact, and m2 < 2**53 converts to float exactly.
+    cosines = array("d", map(math.cos, map((TWO_PI * step).__mul__, range(size))))
+    # Every row's radius bm_radius(ldexp(m1, -p)), m1 ascending:
+    # (size - m1) * 2**-p is 1.0 - ldexp(m1, -p), a representable difference.
+    radii = map(math.sqrt, map((-2.0).__mul__, map(math.log, map(
+        step.__mul__, range(size - first, 0, -1)))))
     # m1 = 0: the zero radius gives ±0.0 at every angle, and no other radius
     # does, because cos never vanishes exactly on the grid
     if start == 0 and n1 == 0.0:
         pairs += [(0, m2) for m2 in range(size)]
-    for m1 in range(max(start, 1), size):
-        r = bm_radius(ldexp(m1, -p))
+    for m1, r in zip(range(first, size), radii):
         t = n1 / r
         # |fl(r cos)| <= r, so an n1 beyond the radius has no preimage here
-        if abs(t) > 1.0:
+        if t > 1.0 or t < -1.0:
             continue
         u = acos(t) / TWO_PI
-        # acos is in [0, pi], so c1 <= size/2 <= c2: the window around c1
-        # and the one around c2 form one ascending run of numerators, which
-        # visits an angle the two windows share once
-        c1 = round(ldexp(u, p))
-        c2 = round(ldexp(1.0 - u, p))
+        # acos is in [0, pi], so c1 <= size/2 <= c2; scaling by fsize = 2**p
+        # is exact, as ldexp(u, p) is
+        c1 = round(u * fsize)
+        c2 = round((1.0 - u) * fsize)
+        # The window around c1, then the rest of the one around c2: a second
+        # window that touches or overlaps the first starts where it ends, so
+        # each angle is visited once, in ascending order.  Slicing clips both
+        # to the grid; a miss, by far the common case, builds no pair.
         lo = c1 - w if c1 > w else 0
-        hi = c2 + w + 1  # slicing and zip below clip it to the grid
-        split = c2 - c1 > 2 * w + 1
-        row = cosines[lo:c1 + w + 1] + cosines[c2 - w:hi] if split else cosines[lo:hi]
-        # a miss, by far the common case, is settled at C speed
-        if n1 in map(r.__mul__, row):
-            m2s = chain(range(lo, c1 + w + 1), range(c2 - w, hi)) if split else range(lo, hi)
-            pairs += [(m1, m2) for m2, c in zip(m2s, row) if r * c == n1]
+        mid = c1 + w + 1
+        row = cosines[lo:mid]
+        for c in row:
+            if r * c == n1:
+                pairs += [(m1, m2) for m2, x in zip(range(lo, size), row) if r * x == n1]
+                break
+        lo = c2 - w if c2 - w > mid else mid
+        row = cosines[lo:c2 + w + 1]
+        for c in row:
+            if r * c == n1:
+                pairs += [(m1, m2) for m2, x in zip(range(lo, size), row) if r * x == n1]
+                break
     return BruteForceResult(pairs, size - start)

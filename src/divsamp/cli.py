@@ -26,7 +26,7 @@ from typing import Callable
 from . import attack as attack_mod
 from . import dist, stats
 from .sampler import GaussianStream, get_method
-from .urand import MAX_PRECISION, BitSource, check_count
+from .urand import MAX_PRECISION, BitSource
 
 EXIT_OK = 0
 EXIT_FAIL = 2
@@ -410,7 +410,7 @@ def _run_complexity(args) -> int:
                          f"{attack_mod.BRUTE_FORCE_MAX_PRECISION}; "
                          f"use --theoretical-only for p = {args.p}")
     w = attack_mod.DEFAULT_WINDOW if args.window is None else args.window
-    check_count(w, "window")  # before the first draw, not at the first search
+    attack_mod._check_search(args.p, w)  # before the first draw, not at the first search
     stream = GaussianStream(src, args.p)
     total = found = 0
     for _ in range(args.count):

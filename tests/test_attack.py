@@ -18,6 +18,7 @@ from divsamp.attack import (
     DEFAULT_PAIR_WINDOW,
     DEFAULT_WINDOW,
     MAX_CHECK_EVALUATIONS,
+    MAX_SEARCH_POINTS,
     AttackOutcome,
     BruteForceResult,
     PhaseAlignmentError,
@@ -33,6 +34,7 @@ from divsamp import attack
 from divsamp.attack import _laplace_survives, _nearest_first, _pair_survives
 from divsamp.dist import laplace_cdf
 from divsamp.sampler import (
+    TWO_PI,
     GaussianStream,
     bm_cos,
     bm_radius,
@@ -741,6 +743,140 @@ class TestBruteForceMatchesReference:
                 want = reference_brute_force(n1, p, w)
                 assert got.pairs == want.pairs, (n1, p, w)
                 assert got.checks == want.checks, (n1, p, w)
+
+    @settings(max_examples=80, deadline=None)
+    @given(p=st.integers(1, 10), w=st.integers(0, 6), a=st.integers(0, 1023),
+           b=st.integers(0, 1023), negate=st.booleans())
+    def test_planted_outputs_match(self, p, w, a, b, negate):
+        m1, m2 = a >> (10 - p), b >> (10 - p)
+        n1 = bm_cos(math.ldexp(m1, -p), math.ldexp(m2, -p))
+        n1 = -n1 if negate else n1
+        got = brute_force_single_gaussian(n1, p, w)
+        want = reference_brute_force(n1, p, w)
+        assert (got.pairs, got.checks) == (want.pairs, want.checks)
+
+
+def branch_centres(n1, p, m1):
+    """The grid numerators ``(c1, c2)`` that row ``m1`` rounds both arccos branches to."""
+    u = math.acos(n1 / bm_radius(math.ldexp(m1, -p))) / TWO_PI
+    return round(math.ldexp(u, p)), round(math.ldexp(1.0 - u, p))
+
+
+class TestBruteForceWindowGeometry:
+    """Branch-window layouts at the edges of the two-slice scan, against the reference.
+
+    Each case names a row ``m1`` and checks first that the search reaches
+    it and that the row really has the layout under test.
+    """
+
+    P = 6
+
+    def assert_matches_at(self, n1, p, w, m1):
+        got = brute_force_single_gaussian(n1, p, w)
+        assert got.checks >= (1 << p) - m1  # the search reached row m1
+        want = reference_brute_force(n1, p, w)
+        assert (got.pairs, got.checks) == (want.pairs, want.checks), (n1, p, w)
+
+    @pytest.mark.parametrize("extra", [1, 2])
+    def test_windows_touch_or_split(self, extra):
+        # c2 - c1 == 2w + 1: the windows touch, sharing no angle and leaving
+        # none out; 2w + 2: one angle between them is not scanned.  Planted
+        # outputs give even gaps; an odd gap needs u * 2**p near a rounding
+        # tie, so outputs a few ulps from a tie between grid angles are tried.
+        p = self.P
+        size = 1 << p
+        seen = set()  # (m1, c1, c2): each row's layout once, planted first
+        for m1 in (1, 13, 40, size - 1):
+            r = bm_radius(math.ldexp(m1, -p))
+            targets = [r * math.cos(TWO_PI * math.ldexp(m2, -p)) for m2 in range(size)]
+            for k in range(size):
+                x = y = r * math.cos(TWO_PI * math.ldexp(2 * k + 1, -p - 1))
+                for _ in range(3):
+                    x, y = math.nextafter(x, math.inf), math.nextafter(y, -math.inf)
+                    targets += [x, y]
+            for n1 in targets:
+                if abs(n1) > r:
+                    continue
+                c1, c2 = branch_centres(n1, p, m1)
+                gap = c2 - c1 - extra
+                if gap >= 0 and gap % 2 == 0 and (m1, c1, c2) not in seen:
+                    self.assert_matches_at(n1, p, gap // 2, m1)
+                    seen.add((m1, c1, c2))
+        assert len(seen) >= 20
+
+    @pytest.mark.parametrize("p", [4, 6])
+    def test_window_runs_past_the_grid_end(self, p):
+        # w >= size/2: the window around c1 ends past the last grid angle
+        size = 1 << p
+        for n1 in brute_force_targets(p, random.Random(p)):
+            for w in (size // 2, size // 2 + 1, size - 1):
+                got = brute_force_single_gaussian(n1, p, w)
+                want = reference_brute_force(n1, p, w)
+                assert (got.pairs, got.checks) == (want.pairs, want.checks), (n1, p, w)
+
+    def test_low_clamp(self):
+        # an output near the radius puts c1 at or below w, so the window
+        # around it starts at angle 0
+        p = self.P
+        for m1 in (1, 30, 63):
+            for w in (1, 2, 5):
+                for m2 in range(w + 1):
+                    n1 = bm_cos(math.ldexp(m1, -p), math.ldexp(m2, -p))
+                    assert branch_centres(n1, p, m1)[0] <= w
+                    self.assert_matches_at(n1, p, w, m1)
+                    assert (m1, m2) in brute_force_single_gaussian(n1, p, w).pairs
+
+    def test_output_at_plus_or_minus_the_radius(self):
+        # m2 = 0 and 2**(p-1): n1 / r is exactly 1 and -1, so the branch
+        # centres are 0 and 2**p, or both 2**(p-1)
+        p = self.P
+        size = 1 << p
+        for m1 in (1, 30, 63):
+            r = bm_radius(math.ldexp(m1, -p))
+            for m2, t, centres in ((0, 1.0, (0, size)), (size >> 1, -1.0, (size >> 1, size >> 1))):
+                n1 = bm_cos(math.ldexp(m1, -p), math.ldexp(m2, -p))
+                assert n1 / r == t
+                assert branch_centres(n1, p, m1) == centres
+                for w in (0, 1, 2, 5):
+                    self.assert_matches_at(n1, p, w, m1)
+
+
+class TestExactScaledIntegers:
+    """The exact identities the search builds its angles and radii from."""
+
+    @pytest.mark.parametrize("p", range(1, BRUTE_FORCE_MAX_PRECISION + 1))
+    def test_identities(self, p):
+        # every numerator up to p = 12, and 2,000 sampled ones (and the
+        # edges) above
+        size = 1 << p
+        step = 2.0**-p
+        ms = (range(size) if p <= 12
+              else [0, 1, size >> 1, size - 1, *random.Random(p).sample(range(size), 2000)])
+        for m in ms:
+            assert (TWO_PI * step) * m == TWO_PI * math.ldexp(m, -p)
+            assert (size - m) * step == 1.0 - math.ldexp(m, -p)
+
+
+class TestSearchCap:
+    """A search of more than MAX_SEARCH_POINTS grid points is rejected up front."""
+
+    # n1 = 1e300 is beyond every radius, so an admitted search skips each row
+    FAR = 1e300
+
+    @pytest.mark.parametrize("p,largest", [(14, 1023), (20, 15)])
+    def test_largest_admitted_window(self, p, largest):
+        # each of the 2**p rows scans min(2(2w+1), 2**p) angles
+        assert (1 << p) * 2 * (2 * largest + 1) <= MAX_SEARCH_POINTS
+        assert (1 << p) * 2 * (2 * largest + 3) > MAX_SEARCH_POINTS
+        assert brute_force_single_gaussian(self.FAR, p, largest).pairs == []
+        with pytest.raises(ValueError, match="too large"):
+            brute_force_single_gaussian(self.FAR, p, largest + 1)
+
+    def test_any_window_up_to_p13(self):
+        # a window as wide as the grid is 2**(2p) points: 2**26 at p = 13
+        assert brute_force_single_gaussian(self.FAR, 13, 10**12).checks == 1 << 13
+        with pytest.raises(ValueError, match="too large"):
+            brute_force_single_gaussian(self.FAR, 14, 10**12)
 
 
 class TestDefaults:

@@ -538,6 +538,9 @@ class TestOneErrorPath:
                      + library_message(moments, [0.0] * 10)),
         (["sample", "--seed", "1"], "missing/report.json",
          lambda out: f"cannot write {out}: {os.strerror(errno.ENOENT)}"),
+        (["complexity", "--p", "14", "--window", "16384", "--count", "1", "--seed", "0"],
+         "report.json",
+         lambda out: library_message(brute_force_single_gaussian, 0.5, 14, 16384)),
     ])
     def test_message_is_the_library_s(self, argv, out, message, capsys, tmp_path):
         out = tmp_path / out
@@ -555,9 +558,10 @@ class TestOneErrorPath:
                 return super().next()
 
         monkeypatch.setattr(divsamp.cli, "GaussianStream", Counted)
-        code, out, _ = run_cli(["complexity", "--p", "8", "--count", "3", "--window", "-1"],
-                               capsys)
-        assert (code, out, calls) == (2, "", [])
+        for window in ("-1", "16384"):
+            code, out, _ = run_cli(["complexity", "--p", "14", "--count", "3", "--window", window],
+                                   capsys)
+            assert (code, out, calls) == (2, "", [])
 
     def test_other_exceptions_propagate(self, capsys, monkeypatch):
         def broken(seed=None):
