@@ -21,16 +21,17 @@ from divsamp import (
     gaussian_pair_attack,
     get_method,
     invert_box_muller,
-    next_uniform,
 )
-from divsamp.sampler import bm_cos, bm_sin
 
 # --- invert one pair exactly ------------------------------------------------
+# Two sources with the same seed: one hands out the numerators of the two
+# uniforms, the other feeds them to a Box-Muller stream, whose two outputs
+# are the cosine and sine halves of one evaluation.
 
-src = BitSource(seed=8086)
-u1 = next_uniform(src, 53).value
-u2 = next_uniform(src, 53).value
-n1, n2 = bm_cos(u1, u2), bm_sin(u1, u2)
+m1, m2 = BitSource(seed=8086).numerators(53, 2).tolist()
+u1, u2 = math.ldexp(m1, -53), math.ldexp(m2, -53)
+stream = GaussianStream(BitSource(seed=8086))
+n1, n2 = stream.next(), stream.next()
 rec1, rec2 = invert_box_muller(n1, n2)
 
 print("true uniforms:      ", (u1, u2))

@@ -12,12 +12,9 @@ the elimination attacks run.
 Run:  python demos/04_output_space_census.py
 """
 
-from divsamp import (
-    BitSource,
-    distinct_output_count,
-    get_method,
-    naive_laplace_from_numerator,
-)
+import math
+
+from divsamp import BitSource, distinct_output_count, get_method, laplace_inverse_cdf
 
 P = 8
 DRAWS = 200_000
@@ -30,11 +27,12 @@ for name in ("naive-laplace", "laplace-expdiff", "laplace-logcos", "box-muller")
     print(f"{name:<18} emits {count:>7} distinct floats in {DRAWS} draws at p={P}")
 
 # --- the naive image, written out -------------------------------------------
-# All 256 grid points map through the inverse CDF; numerator 0 is folded
-# onto numerator 1, so the image has 255 members.  An attacker checks
-# membership in this set by rounding back and re-evaluating forward.
+# All 256 grid points map through the inverse CDF, as the naive sampler
+# maps them; numerator 0 is folded onto numerator 1, so the image has 255
+# members.  An attacker checks membership in this set by rounding back and
+# re-evaluating forward.
 
-image = sorted({naive_laplace_from_numerator(m, P) for m in range(2**P)})
+image = sorted({laplace_inverse_cdf(math.ldexp(max(m, 1), -P)) for m in range(2**P)})
 print()
 print(f"naive image size at p={P}: {len(image)}")
 print("five smallest:", [round(v, 4) for v in image[:5]])

@@ -23,14 +23,27 @@ from divsamp import (
     count_feasible_checks,
     expected_checks,
 )
-from divsamp.sampler import bm_cos
+
+
+class Planted(BitSource):
+    """A bit source that hands out the given numerators in turn."""
+
+    def __init__(self, *numerators):
+        super().__init__(seed=0)
+        self._next = iter(numerators).__next__
+
+    def getrandbits(self, k):
+        return self._next()
+
 
 # --- the feasible window for one concrete output ----------------------------
-# A grid point is its integer numerator m, standing for u = m / 2^P.
+# A grid point is its integer numerator m, standing for u = m / 2^P.  The
+# planted pair goes through a Box-Muller stream, as demo 03's drawn one
+# does, and the search targets the stream's first (cosine) output.
 
 P = 12
 m1, m2 = 2500, 600
-n1 = bm_cos(m1 / 2**P, m2 / 2**P)
+n1 = GaussianStream(Planted(m1, m2), P).next()
 
 window = count_feasible_checks(n1, P)
 print(f"output n1 = {n1:.6f} at p = {P}")

@@ -25,13 +25,7 @@ from .attack import (
     mironov_attack,
 )
 from .dist import gaussian_cdf, laplace_cdf, laplace_inverse_cdf
-from .sampler import (
-    GaussianStream,
-    SamplerMethod,
-    get_method,
-    method_names,
-    naive_laplace_from_numerator,
-)
+from .sampler import GaussianStream, SamplerMethod, get_method, method_names
 from .stats import (
     MomentSummary,
     distinct_output_count,
@@ -78,7 +72,6 @@ __all__ = [
     "method_names",
     "mironov_attack",
     "moments",
-    "naive_laplace_from_numerator",
     "neighbors",
     "next_uniform",
     "round_to_variate",

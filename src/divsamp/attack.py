@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from .dist import laplace_cdf
-from .sampler import TWO_PI, GaussianStream, _bm_radius, naive_laplace_from_numerator
+from .sampler import TWO_PI, GaussianStream, _bm_radius, _naive_laplace
 from .urand import DEFAULT_PRECISION, check_count, check_precision, grid_round
 
 DEFAULT_WINDOW = 2
@@ -184,16 +184,16 @@ def _nearest_first(m: int, p: int, w: int) -> Iterator[int]:
 
 def _laplace_survives(q: float, c: float, p: int, w: int, scale: float) -> bool:
     # Round the implied uniform onto the grid, then ask whether any grid
-    # point within w steps pushes forward to the query bit-exactly.  The
-    # centre m is tried before the rest of the window is set up: for the
-    # true candidate it almost always matches.
+    # point within w steps pushes forward to the query bit-exactly under the
+    # naive sampler's own transform.  The centre m is tried before the rest
+    # of the window is set up: for the true candidate it almost always matches.
     m = grid_round(laplace_cdf((q - c) / scale), p)
-    if scale * naive_laplace_from_numerator(m, p) + c == q:
+    if scale * _naive_laplace(m, p, math) + c == q:
         return True
     rest = _nearest_first(m, p, w)
     next(rest)  # m itself, just tried
     for k in rest:
-        if scale * naive_laplace_from_numerator(k, p) + c == q:
+        if scale * _naive_laplace(k, p, math) + c == q:
             return True
     return False
 
@@ -264,10 +264,10 @@ def _pair_matches(
     q1: float, q2: float, c: float, p: int, scale: float, m1: int, w1: int, m2: int, w2: int
 ) -> bool:
     # Whether a grid pair within w1 steps of m1 and w2 steps of m2 maps to
-    # (q1, q2) bit-exactly.  bm_cos and bm_sin factored by grid point: one
-    # radius per u1 and one angle and cosine per u2, combined by the same
-    # IEEE operations in the same order; the sine is taken only once the
-    # cosine half matches.  Both axes go nearest-first.  The first row
+    # (q1, q2) bit-exactly.  The sampler's _bm_pair factored by grid point:
+    # its _bm_radius once per u1 and one angle and cosine per u2, combined by
+    # the same IEEE operations in the same order; the sine is taken only once
+    # the cosine half matches.  Both axes go nearest-first.  The first row
     # computes each u2's angle and cosine on first use, so a check that
     # matches early skips the rest; a row that does not match leaves all of
     # them in ``trig`` for the next.
@@ -432,9 +432,6 @@ def brute_force_single_gaussian(
             the search would pass ``MAX_SEARCH_POINTS``.
     """
     _check_search(p, w)
-    if not math.isfinite(n1):
-        raise ValueError(f"need a finite output value, got {n1!r}")
-
     size = 1 << p
     # Wider windows reach no further grid points: start is already 0, and
     # every angle window then covers [0, size).
@@ -451,7 +448,7 @@ def brute_force_single_gaussian(
     # (TWO_PI * 2**-p) * m2 is TWO_PI * ldexp(m2, -p): the power-of-two
     # scale is exact, and m2 < 2**53 converts to float exactly.
     cosines = array("d", map(math.cos, map((TWO_PI * step).__mul__, range(size))))
-    # Every row's radius bm_radius(ldexp(m1, -p)), m1 ascending:
+    # Every row's radius _bm_radius(ldexp(m1, -p), math), m1 ascending:
     # (size - m1) * 2**-p is 1.0 - ldexp(m1, -p), a representable difference.
     radii = map(math.sqrt, map((-2.0).__mul__, map(math.log, map(
         step.__mul__, range(size - first, 0, -1)))))

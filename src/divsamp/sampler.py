@@ -12,9 +12,7 @@ exponentials), ``laplace-sqsum`` and ``laplace-proddiff`` (four Gaussians),
 :func:`get_method` is the sampler API: it looks a method up by name and
 returns a :class:`SamplerMethod`, whose ``make_drawer(src, p)`` binds it
 to a bit source for one output per call and whose ``column(src, p, count)``
-returns a batch as one float64 array.  The forward Box-Muller maps are
-also exposed, one output at a time, as :func:`bm_cos` / :func:`bm_sin`;
-the pair attack re-evaluates them with bit-identical arithmetic.
+returns a batch as one float64 array.
 
 Each method's arithmetic is written once, as a *kernel*: a function of
 ``(take, p, lm)`` that pulls the grid numerators of one output, in draw
@@ -26,7 +24,11 @@ precision is checked once, when the drawer is made.
 :meth:`SamplerMethod.column` feeds it numpy columns of numerators, one
 element per output, with ``lm =`` :data:`~divsamp.columns.COLUMN_MATH`.
 Sign selections are written ``1 - 2 [condition]``, which Python and
-numpy evaluate alike, so both paths give the same bits.
+numpy evaluate alike, so both paths give the same bits.  The vulnerable
+baselines' forward maps, :func:`_naive_laplace` of one numerator and
+:func:`_bm_pair` (over :func:`_bm_radius`) of one uniform pair, exist only
+as these kernel helpers: the attacks in :mod:`divsamp.attack` evaluate the
+helpers themselves, so the arithmetic they invert is the sampler's own.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ import numpy as np
 
 from .columns import COLUMN_MATH
 from .dist import _laplace_quantile
-from .urand import BitSource, DEFAULT_PRECISION, _take_numerator, check_count, check_precision
+from .urand import (
+    BitSource, DEFAULT_PRECISION, _take_numerator, check_count, check_positive, check_precision,
+)
 
 DEFAULT_DIVISIBILITY = 4
 TWO_PI = 2.0 * math.pi
@@ -53,10 +57,6 @@ DRAW_BATCH_UNIFORMS = 8192
 __all__ = [
     "DEFAULT_DIVISIBILITY",
     "DRAW_BATCH_UNIFORMS",
-    "naive_laplace_from_numerator",
-    "bm_radius",
-    "bm_cos",
-    "bm_sin",
     "GaussianStream",
     "SamplerMethod",
     "get_method",
@@ -67,26 +67,11 @@ _Take = Callable[[], int]
 _Kernel = Callable[[_Take, int, object], float]
 
 
-def _check_divisibility(n: int) -> None:
-    # bool is an int subclass; True must not pass as divisibility 1
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"divisibility must be a positive integer, got {n!r}")
-
-
-def naive_laplace_from_numerator(m: int, p: int) -> float:
-    """The deterministic uniform-to-Laplace transform of the naive sampler.
-
-    Maps grid numerator ``m`` at precision ``p`` (unchecked: callers pass a
-    valid grid point) through the inverse Laplace CDF.  A numerator of zero
-    is remapped to the smallest positive grid point ``2**-p`` (a
-    probability ``2**-p`` event) so the logarithm never sees zero.  Attack
-    code re-evaluates exactly this transform when it checks a grid point.
-    """
-    return _naive_laplace(m, p, math)
-
-
 def _naive_laplace(m, p: int, lm):
-    # m + (m == 0) is ``m or 1`` in a form numpy also evaluates per element
+    # The naive sampler's transform of numerator m: the inverse Laplace CDF
+    # of m * 2**-p, with m = 0 (a probability 2**-p event) remapped onto 1
+    # so the logarithm never sees zero.  m + (m == 0) is ``m or 1`` in a
+    # form numpy also evaluates per element.
     return _laplace_quantile(lm.ldexp(m + (m == 0), -p), lm)
 
 
@@ -95,27 +80,13 @@ def _naive_kernel(take: _Take, p: int, lm) -> float:
     return _naive_laplace(take(), p, lm)
 
 
-def bm_radius(u1: float) -> float:
-    """Box-Muller radial factor ``sqrt(-2 log(1 - u1))``."""
-    return _bm_radius(u1, math)
-
-
 def _bm_radius(u1, lm):
+    # the Box-Muller radial factor sqrt(-2 log(1 - u1))
     return lm.sqrt(-2.0 * lm.log(1.0 - u1))
 
 
-def bm_cos(u1: float, u2: float) -> float:
-    """Cosine-branch Box-Muller output for the uniform pair ``(u1, u2)``."""
-    return bm_radius(u1) * math.cos(TWO_PI * u2)
-
-
-def bm_sin(u1: float, u2: float) -> float:
-    """Sine-branch Box-Muller output for the uniform pair ``(u1, u2)``."""
-    return bm_radius(u1) * math.sin(TWO_PI * u2)
-
-
 def _bm_pair(u1, u2, lm):
-    # (bm_cos(u1, u2), bm_sin(u1, u2)) with the radial factor computed once
+    # the cosine and sine branches of one Box-Muller evaluation
     r = _bm_radius(u1, lm)
     angle = TWO_PI * u2
     return r * lm.cos(angle), r * lm.sin(angle)
@@ -141,9 +112,9 @@ def _gaussian_sum_kernel(take: _Take, p: int, lm, n: int) -> float:
 class GaussianStream:
     """Box-Muller Gaussian generator with the customary cached second output.
 
-    Each evaluation consumes two uniforms and produces the pair
-    ``(bm_cos, bm_sin)``; the second value is cached and returned by the
-    next call.  The cache is what couples consecutive outputs — the
+    Each evaluation consumes two uniforms and produces the cosine and sine
+    branches of one Box-Muller pair; the second value is cached and
+    returned by the next call.  The cache is what couples consecutive outputs — the
     property the pair-inversion attack exploits — so ``phase`` is exposed
     for callers that need to reason about alignment.
     """
@@ -306,7 +277,7 @@ def get_method(name: str, n: int | None = None) -> SamplerMethod:
     an error.
     """
     if n is not None:
-        _check_divisibility(n)
+        check_positive(n, "divisibility")
     if name not in _REGISTRY:
         raise ValueError(f"unknown sampler method {name!r}")
     family, hardening, per_unit, default_n, outputs, bind = _REGISTRY[name]

@@ -18,7 +18,7 @@ import numpy as np
 from .columns import COLUMN_MATH
 from .dist import _gaussian_cdf, _laplace_cdf, gaussian_cdf, laplace_cdf
 from .sampler import SamplerMethod
-from .urand import BitSource, check_precision
+from .urand import BitSource, check_positive, check_precision
 
 KS_CRIT_001 = 1.628
 
@@ -35,15 +35,9 @@ __all__ = [
 ]
 
 
-def _check_sample_count(n: int) -> None:
-    # bool is an int subclass; True must not pass as one sample
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"sample count must be a positive integer, got {n!r}")
-
-
 def ks_critical_value(n: int) -> float:
     """Asymptotic two-sided KS critical value at level 0.01: ``1.628 / sqrt(n)``."""
-    _check_sample_count(n)
+    check_positive(n, "sample count")
     return KS_CRIT_001 / math.sqrt(n)
 
 
@@ -59,7 +53,7 @@ def ks_p_value(statistic: float, n: int) -> float:
         ValueError: for a statistic outside [0, 1] (NaN included), or an
             ``n`` that is not a positive ``int``.
     """
-    _check_sample_count(n)
+    check_positive(n, "sample count")
     if not 0.0 <= statistic <= 1.0:
         raise ValueError(f"KS statistic must lie in [0, 1], got {statistic!r}")
     t = math.sqrt(n) * statistic

@@ -63,6 +63,12 @@ def check_count(k: int, what: str) -> None:
         raise ValueError(f"{what} must be a non-negative integer, got {k!r}")
 
 
+def check_positive(k: int, what: str) -> None:
+    """Reject ``k`` unless it is a positive ``int``; ``what`` names it in the error."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ValueError(f"{what} must be a positive integer, got {k!r}")
+
+
 @dataclass(frozen=True)
 class UniformVariate:
     """A uniform draw on the dyadic grid ``{m * 2**-p : 0 <= m < 2**p}``.

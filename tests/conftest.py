@@ -10,7 +10,7 @@ import struct
 import numpy as np
 
 from divsamp.attack import BruteForceResult, count_feasible_checks
-from divsamp.sampler import TWO_PI, bm_radius
+from divsamp.sampler import TWO_PI, _bm_radius
 from divsamp.urand import BitSource
 
 
@@ -90,7 +90,7 @@ def reference_brute_force(n1, p, w):
     acos = math.acos
     cos = math.cos
     for m1 in range(start, size):
-        r = bm_radius(ldexp(m1, -p))
+        r = _bm_radius(ldexp(m1, -p), math)
         if r == 0.0:
             # m1 = 0: the zero radius gives ±0.0 at every angle, and no other
             # radius does, because cos never vanishes exactly on the grid

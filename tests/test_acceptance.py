@@ -23,14 +23,9 @@ from divsamp.attack import (
     mironov_attack,
 )
 from divsamp.dist import gaussian_cdf, laplace_cdf
-from divsamp.sampler import (
-    GaussianStream,
-    bm_cos,
-    bm_sin,
-    get_method,
-)
+from divsamp.sampler import GaussianStream, get_method
 from divsamp.stats import distinct_output_count, ks_critical_value, ks_statistic
-from divsamp.urand import BitSource, next_uniform
+from divsamp.urand import BitSource
 
 CAMPAIGNS = 1000
 BUDGET = 100
@@ -183,15 +178,18 @@ def test_06_every_sampler_has_the_right_distribution():
     assert not failures, details
 
 
+def _stream_pairs(seed, count):
+    """``count`` uniform pairs and the Box-Muller stream's output pairs, from twin sources."""
+    ms = [math.ldexp(m, -53) for m in BitSource(seed=seed).numerators(53, 2 * count).tolist()]
+    stream = GaussianStream(BitSource(seed=seed))
+    for u1, u2 in zip(ms[::2], ms[1::2]):
+        yield u1, u2, stream.next(), stream.next()
+
+
 def test_07_transform_identities_hold_to_four_ulps():
     # (N1^2 - N2^2)/2 against -log(1-U1) cos(4 pi U2), 10^4 pairs
-    src = BitSource(seed=4004)
     worst_identity = 0.0
-    for _ in range(10_000):
-        u1 = next_uniform(src, 53).value
-        u2 = next_uniform(src, 53).value
-        n1 = bm_cos(u1, u2)
-        n2 = bm_sin(u1, u2)
+    for u1, u2, n1, n2 in _stream_pairs(4004, 10_000):
         lhs = 0.5 * (n1 * n1 - n2 * n2)
         rhs = -math.log(1.0 - u1) * math.cos(4.0 * math.pi * u2)
         scale = max(abs(lhs), abs(rhs), n1 * n1, n2 * n2)
@@ -199,13 +197,10 @@ def test_07_transform_identities_hold_to_four_ulps():
         worst_identity = max(worst_identity, err)
 
     # pair inversion round trip, 10^4 pairs, 4 ulps at unit scale
-    src = BitSource(seed=8086)
     tol = 4.0 * math.ulp(1.0)
     worst_rt = 0.0
-    for _ in range(10_000):
-        u1 = next_uniform(src, 53).value
-        u2 = next_uniform(src, 53).value
-        rec1, rec2 = invert_box_muller(bm_cos(u1, u2), bm_sin(u1, u2))
+    for u1, u2, n1, n2 in _stream_pairs(8086, 10_000):
+        rec1, rec2 = invert_box_muller(n1, n2)
         worst_rt = max(worst_rt, abs(rec1 - u1) / tol, abs(rec2 - u2) / tol)
 
     ok = worst_identity <= 1.0 and worst_rt <= 1.0

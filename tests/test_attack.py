@@ -34,16 +34,10 @@ from divsamp import attack
 from divsamp.attack import _laplace_survives, _nearest_first, _pair_survives
 from divsamp.dist import laplace_cdf
 from divsamp.sampler import (
-    TWO_PI,
-    GaussianStream,
-    bm_cos,
-    bm_radius,
-    bm_sin,
-    get_method,
-    naive_laplace_from_numerator,
+    TWO_PI, GaussianStream, _bm_pair, _bm_radius, _naive_laplace, get_method,
 )
-from divsamp.urand import BitSource, neighbors, next_uniform, round_to_variate
-from conftest import reference_brute_force
+from divsamp.urand import BitSource
+from conftest import ScriptedSource, reference_brute_force
 
 # invalid campaign arguments shared by both attacks; each must be rejected
 # before the first query
@@ -63,6 +57,17 @@ BAD_CAMPAIGN_KWARGS = [
     {"max_queries": 2.5},
     {"scale": True},
 ]
+
+
+def naive_output(m, p):
+    """The registered naive-laplace drawer's output for grid numerator ``m``."""
+    return get_method("naive-laplace").make_drawer(ScriptedSource([m], p), p)()
+
+
+def stream_pair(m1, m2, p):
+    """Both halves of the Box-Muller stream's evaluation at grid pair ``(m1, m2)``."""
+    stream = GaussianStream(ScriptedSource([m1, m2], p), p)
+    return stream.next(), stream.next()
 
 
 class TestQueryOracle:
@@ -199,13 +204,14 @@ class TestInvertBoxMuller:
             invert_box_muller(-0.0, 0.0)
 
     def test_round_trip_over_seeded_corpus(self):
-        # 1e4 pairs; recovered uniforms stay within two grid units of truth
-        src = BitSource(seed=8086)
+        # 1e4 pairs; recovered uniforms stay within two grid units of truth.
+        # Twin sources: one gives the uniforms, the other feeds the stream.
+        ms = BitSource(seed=8086).numerators(53, 20_000).tolist()
+        stream = GaussianStream(BitSource(seed=8086))
         worst = 0.0
-        for _ in range(10_000):
-            u1 = next_uniform(src, 53).value
-            u2 = next_uniform(src, 53).value
-            rec1, rec2 = invert_box_muller(bm_cos(u1, u2), bm_sin(u1, u2))
+        for m1, m2 in zip(ms[::2], ms[1::2]):
+            u1, u2 = math.ldexp(m1, -53), math.ldexp(m2, -53)
+            rec1, rec2 = invert_box_muller(stream.next(), stream.next())
             worst = max(worst, abs(rec1 - u1), abs(rec2 - u2))
         assert worst <= 2.0**-52
 
@@ -217,15 +223,13 @@ class TestInvertBoxMuller:
     def test_round_trip_anywhere(self, m1, m2):
         u1 = math.ldexp(m1, -53)
         u2 = math.ldexp(m2, -53)
-        rec1, rec2 = invert_box_muller(bm_cos(u1, u2), bm_sin(u1, u2))
+        rec1, rec2 = invert_box_muller(*_bm_pair(u1, u2, math))
         assert abs(rec1 - u1) <= 2.0**-50
         assert abs(rec2 - u2) <= 2.0**-50
 
     def test_u2_normalized_into_unit_interval(self):
         for angle_m in range(0, 16):
-            n1 = bm_cos(0.5, angle_m / 16)
-            n2 = bm_sin(0.5, angle_m / 16)
-            _, u2 = invert_box_muller(n1, n2)
+            _, u2 = invert_box_muller(*_bm_pair(0.5, angle_m / 16, math))
             assert 0.0 <= u2 < 1.0
 
 
@@ -309,27 +313,37 @@ class TestGaussianPairAttack:
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
+def grid_window(u, p, w):
+    """The numerators within ``w`` steps of the grid point nearest ``u``, clamped to the grid."""
+    assert 0.0 <= u <= 1.0, u
+    top = (1 << p) - 1
+    m = min(round(math.ldexp(u, p)), top)
+    window = range(max(0, m - w), min(top, m + w) + 1)
+    assert 0 <= window[0] <= m <= window[-1] <= top
+    return window
+
+
 def reference_laplace_survives(q, c, p, w, scale):
-    # the survival check written over validated variates
-    u = round_to_variate(laplace_cdf((q - c) / scale), p)
-    return any(scale * naive_laplace_from_numerator(v.m, v.p) + c == q for v in neighbors(u, w))
+    # the survival check over its whole window, ascending, in the naive
+    # kernel helper's arithmetic
+    window = grid_window(laplace_cdf((q - c) / scale), p, w)
+    return any(scale * _naive_laplace(k, p, math) + c == q for k in window)
 
 
 def reference_pair_survives(q1, q2, c, p, w, scale):
-    n1, n2 = (q1 - c) / scale, (q2 - c) / scale
-    if n1 == 0.0 and n2 == 0.0:
-        return c + scale * bm_cos(0.0, 0.0) == q1 and c + scale * bm_sin(0.0, 0.0) == q2
-    u1, u2 = invert_box_muller(n1, n2)
-
-    def reproduced(w1, w2):
+    def reproduced(window1, window2):
         return any(
-            c + scale * bm_cos(a.value, b.value) == q1
-            and c + scale * bm_sin(a.value, b.value) == q2
-            for a in neighbors(round_to_variate(u1, p), w1)
-            for b in neighbors(round_to_variate(u2, p), w2)
+            c + scale * a == q1 and c + scale * b == q2
+            for k1 in window1
+            for k2 in window2
+            for a, b in [_bm_pair(math.ldexp(k1, -p), math.ldexp(k2, -p), math)]
         )
 
-    if reproduced(w, w):
+    n1, n2 = (q1 - c) / scale, (q2 - c) / scale
+    if n1 == 0.0 and n2 == 0.0:
+        return reproduced(range(1), range(1))
+    u1, u2 = invert_box_muller(n1, n2)
+    if reproduced(grid_window(u1, p, w), grid_window(u2, p, w)):
         return True
     # the second search, over the window widened by the grid steps that
     # rounding the queries to their ulps can move u1 and u2
@@ -342,7 +356,8 @@ def reference_pair_survives(q1, q2, c, p, w, scale):
     if (t1 < 1.0) == (t2 < 1.0):
         return False
     w1, w2 = w + math.ceil(t1), w + math.ceil(t2)
-    return (2 * w1 + 1) * (2 * w2 + 1) > MAX_CHECK_EVALUATIONS or reproduced(w1, w2)
+    return (2 * w1 + 1) * (2 * w2 + 1) > MAX_CHECK_EVALUATIONS or reproduced(
+        grid_window(u1, p, w1), grid_window(u2, p, w2))
 
 
 class TestNearestFirst:
@@ -379,11 +394,11 @@ class TestNearestFirst:
         # uniform rounds to the draw's own numerator, the first one visited
         evaluations = []
 
-        def counted(m, p):
+        def counted(m, p, lm):
             evaluations.append(m)
-            return naive_laplace_from_numerator(m, p)
+            return _naive_laplace(m, p, lm)
 
-        monkeypatch.setattr(attack, "naive_laplace_from_numerator", counted)
+        monkeypatch.setattr(attack, "_naive_laplace", counted)
         draw = get_method("naive-laplace").make_drawer(BitSource(seed=9400), p)
         checked = 0
         for _ in range(500):
@@ -429,7 +444,7 @@ class TestSurvivalChecksAgainstVariateReference:
     @settings(max_examples=400)
     def test_laplace(self, data):
         p, w, scale, true_c, c, grid = self._campaign(data)
-        modelled = grid.map(lambda m: scale * naive_laplace_from_numerator(m, p) + true_c)
+        modelled = grid.map(lambda m: scale * naive_output(m, p) + true_c)
         q = data.draw(st.one_of(modelled, finite), label="q")
         assume(math.isfinite(q) and math.isfinite(c))
         assert _laplace_survives(q, c, p, w, scale) == reference_laplace_survives(
@@ -441,10 +456,10 @@ class TestSurvivalChecksAgainstVariateReference:
     def test_pair(self, data):
         p, w, scale, true_c, c, grid = self._campaign(data)
         m1, m2 = data.draw(grid, label="m1"), data.draw(grid, label="m2")
-        u1, u2 = math.ldexp(m1, -p), math.ldexp(m2, -p)
+        n1, n2 = stream_pair(m1, m2, p)
         q1, q2 = data.draw(
             st.one_of(
-                st.just((true_c + scale * bm_cos(u1, u2), true_c + scale * bm_sin(u1, u2))),
+                st.just((true_c + scale * n1, true_c + scale * n2)),
                 st.tuples(finite, finite),
             ),
             label="q",
@@ -476,7 +491,7 @@ class TestTrueCandidateSurvives:
     @settings(max_examples=500)
     def test_laplace(self, data):
         p, c, scale, grid = self._setting(data)
-        q = c + scale * naive_laplace_from_numerator(data.draw(grid, label="m"), p)
+        q = c + scale * naive_output(data.draw(grid, label="m"), p)
         assume(math.isfinite(q))
         assert _laplace_survives(q, c, p, DEFAULT_WINDOW, scale)
 
@@ -484,9 +499,8 @@ class TestTrueCandidateSurvives:
     @settings(max_examples=500)
     def test_pair(self, data):
         p, c, scale, grid = self._setting(data)
-        u1 = math.ldexp(data.draw(grid, label="m1"), -p)
-        u2 = math.ldexp(data.draw(grid, label="m2"), -p)
-        q1, q2 = c + scale * bm_cos(u1, u2), c + scale * bm_sin(u1, u2)
+        n1, n2 = stream_pair(data.draw(grid, label="m1"), data.draw(grid, label="m2"), p)
+        q1, q2 = c + scale * n1, c + scale * n2
         assume(math.isfinite(q1) and math.isfinite(q2))
         assert _pair_survives(q1, q2, c, p, DEFAULT_PAIR_WINDOW, scale)
 
@@ -500,8 +514,8 @@ class TestTrueCandidateSurvives:
         (25, -6.125444259775927e291, 9.380297708467484e283, 3, 22503124),
     ])
     def test_pair_far_from_zero(self, p, c, scale, m1, m2):
-        u1, u2 = math.ldexp(m1, -p), math.ldexp(m2, -p)
-        q1, q2 = c + scale * bm_cos(u1, u2), c + scale * bm_sin(u1, u2)
+        n1, n2 = stream_pair(m1, m2, p)
+        q1, q2 = c + scale * n1, c + scale * n2
         assert _pair_survives(q1, q2, c, p, DEFAULT_PAIR_WINDOW, scale)
 
 
@@ -518,8 +532,8 @@ class TestExactZeroPair:
     @pytest.mark.parametrize("c", [0.0, 1.0, -3.5])
     def test_zero_radius_pair(self, c, scale, p):
         for m2 in (0, 1, (1 << p) - 1):
-            u2 = math.ldexp(m2, -p)
-            q1, q2 = c + scale * bm_cos(0.0, u2), c + scale * bm_sin(0.0, u2)
+            n1, n2 = stream_pair(0, m2, p)
+            q1, q2 = c + scale * n1, c + scale * n2
             assert (q1 - c) / scale == 0.0 == (q2 - c) / scale
             assert _pair_survives(q1, q2, c, p, DEFAULT_PAIR_WINDOW, scale)
             # a wrong candidate sees noise (-10/scale, -10/scale), of radius
@@ -631,12 +645,12 @@ class TestExpectedChecks:
 class TestBruteForce:
     def test_recovers_planted_pair(self):
         p = 12
-        n1 = bm_cos(2500 / 4096, 600 / 4096)
+        n1 = stream_pair(2500, 600, p)[0]
         result = brute_force_single_gaussian(n1, p)
         assert (2500, 600) in result.pairs
         for m1, m2 in result.pairs:
             assert type(m1) is int and type(m2) is int
-            assert bm_cos(math.ldexp(m1, -p), math.ldexp(m2, -p)) == n1
+            assert stream_pair(m1, m2, p)[0] == n1
 
     def test_random_plants_all_recovered(self):
         p = 12
@@ -645,20 +659,20 @@ class TestBruteForce:
         # m2 = 0 and m2 = 2**(p-1) give n1 = r and n1 = -r: n1 / r is exactly ±1
         plants += [(m1, m2) for m1 in (1, 2500, (1 << p) - 1) for m2 in (0, 1 << (p - 1))]
         for m1, m2 in plants:
-            n1 = bm_cos(math.ldexp(m1, -p), math.ldexp(m2, -p))
+            n1 = stream_pair(m1, m2, p)[0]
             assert (m1, m2) in brute_force_single_gaussian(n1, p).pairs
 
     def test_just_beyond_the_radius_finds_nothing_there(self):
         # one ulp above the radius of m1: no angle at that m1 reaches it
         p, m1 = 12, 2500
-        n1 = math.nextafter(bm_radius(math.ldexp(m1, -p)), math.inf)
+        n1 = math.nextafter(_bm_radius(math.ldexp(m1, -p), math), math.inf)
         result = brute_force_single_gaussian(n1, p)
         assert result.checks >= (1 << p) - m1  # the search did reach m1
         assert all(a != m1 for a, _ in result.pairs)
 
     def test_check_count_tracks_feasible_window(self):
         p = 12
-        n1 = bm_cos(2500 / 4096, 600 / 4096)
+        n1 = stream_pair(2500, 600, p)[0]
         result = brute_force_single_gaussian(n1, p, w=2)
         assert 0 <= result.checks - count_feasible_checks(n1, p) <= 2
 
@@ -697,7 +711,7 @@ class TestBruteForce:
         # a window of 2**p already covers the whole grid; a wider one must
         # return the same result without walking the extra numerators
         rng = random.Random(4242)
-        for n1 in (bm_cos(rng.random(), rng.random()) for _ in range(5)):
+        for n1 in (_bm_pair(rng.random(), rng.random(), math)[0] for _ in range(5)):
             full = brute_force_single_gaussian(n1, 8, w=256)
             huge = brute_force_single_gaussian(n1, 8, w=10**12)
             assert huge.pairs == full.pairs
@@ -706,7 +720,7 @@ class TestBruteForce:
     def test_checks_scale_with_precision(self):
         # each added bit of precision roughly doubles the examined window
         rng = random.Random(777)
-        n1 = bm_cos(rng.random(), rng.random())
+        n1 = _bm_pair(rng.random(), rng.random(), math)[0]
         c10 = brute_force_single_gaussian(n1, 10).checks
         c12 = brute_force_single_gaussian(n1, 12).checks
         assert 3.6 < c12 / c10 < 4.4
@@ -722,8 +736,8 @@ def brute_force_targets(p, rng, plants=3, draws=2):
     size = 1 << p
     m1s = [rng.randrange(1, size) for _ in range(plants + 2)]
     m2s = [rng.randrange(0, size) for _ in range(plants)] + [0, size >> 1]
-    planted = [bm_cos(math.ldexp(a, -p), math.ldexp(b, -p)) for a, b in zip(m1s, m2s)]
-    r = bm_radius(math.ldexp(rng.randrange(1, size), -p))
+    planted = [stream_pair(a, b, p)[0] for a, b in zip(m1s, m2s)]
+    r = _bm_radius(math.ldexp(rng.randrange(1, size), -p), math)
     return ([x for n1 in planted for x in (n1, -n1)] + [r, -r, math.nextafter(r, math.inf), 0.0, -0.0]
             + [rng.gauss(0.0, 1.0) for _ in range(draws)])
 
@@ -749,7 +763,7 @@ class TestBruteForceMatchesReference:
            b=st.integers(0, 1023), negate=st.booleans())
     def test_planted_outputs_match(self, p, w, a, b, negate):
         m1, m2 = a >> (10 - p), b >> (10 - p)
-        n1 = bm_cos(math.ldexp(m1, -p), math.ldexp(m2, -p))
+        n1 = stream_pair(m1, m2, p)[0]
         n1 = -n1 if negate else n1
         got = brute_force_single_gaussian(n1, p, w)
         want = reference_brute_force(n1, p, w)
@@ -758,7 +772,7 @@ class TestBruteForceMatchesReference:
 
 def branch_centres(n1, p, m1):
     """The grid numerators ``(c1, c2)`` that row ``m1`` rounds both arccos branches to."""
-    u = math.acos(n1 / bm_radius(math.ldexp(m1, -p))) / TWO_PI
+    u = math.acos(n1 / _bm_radius(math.ldexp(m1, -p), math)) / TWO_PI
     return round(math.ldexp(u, p)), round(math.ldexp(1.0 - u, p))
 
 
@@ -787,7 +801,7 @@ class TestBruteForceWindowGeometry:
         size = 1 << p
         seen = set()  # (m1, c1, c2): each row's layout once, planted first
         for m1 in (1, 13, 40, size - 1):
-            r = bm_radius(math.ldexp(m1, -p))
+            r = _bm_radius(math.ldexp(m1, -p), math)
             targets = [r * math.cos(TWO_PI * math.ldexp(m2, -p)) for m2 in range(size)]
             for k in range(size):
                 x = y = r * math.cos(TWO_PI * math.ldexp(2 * k + 1, -p - 1))
@@ -821,7 +835,7 @@ class TestBruteForceWindowGeometry:
         for m1 in (1, 30, 63):
             for w in (1, 2, 5):
                 for m2 in range(w + 1):
-                    n1 = bm_cos(math.ldexp(m1, -p), math.ldexp(m2, -p))
+                    n1 = stream_pair(m1, m2, p)[0]
                     assert branch_centres(n1, p, m1)[0] <= w
                     self.assert_matches_at(n1, p, w, m1)
                     assert (m1, m2) in brute_force_single_gaussian(n1, p, w).pairs
@@ -832,9 +846,9 @@ class TestBruteForceWindowGeometry:
         p = self.P
         size = 1 << p
         for m1 in (1, 30, 63):
-            r = bm_radius(math.ldexp(m1, -p))
+            r = _bm_radius(math.ldexp(m1, -p), math)
             for m2, t, centres in ((0, 1.0, (0, size)), (size >> 1, -1.0, (size >> 1, size >> 1))):
-                n1 = bm_cos(math.ldexp(m1, -p), math.ldexp(m2, -p))
+                n1 = stream_pair(m1, m2, p)[0]
                 assert n1 / r == t
                 assert branch_centres(n1, p, m1) == centres
                 for w in (0, 1, 2, 5):

@@ -541,7 +541,9 @@ class TestOneErrorPath:
         (["complexity", "--p", "14", "--window", "16384", "--count", "1", "--seed", "0"],
          "report.json",
          lambda out: library_message(brute_force_single_gaussian, 0.5, 14, 16384)),
-    ])
+    ], ids=["sample-p0", "attack-seed-negative", "sample-n0", "attack-window-negative",
+            "complexity-window-negative", "verify-p1", "sample-out-missing-dir",
+            "complexity-search-too-large"])
     def test_message_is_the_library_s(self, argv, out, message, capsys, tmp_path):
         out = tmp_path / out
         code, stdout, err = run_cli([*argv, "--out", str(out)], capsys)

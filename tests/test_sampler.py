@@ -13,18 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divsamp import sampler as sampler_mod
+from divsamp.attack import _pair_matches
 from divsamp.dist import gaussian_cdf, laplace_cdf
 from divsamp.sampler import (
     DEFAULT_DIVISIBILITY,
     DRAW_BATCH_UNIFORMS,
+    TWO_PI,
     GaussianStream,
     SamplerMethod,
-    bm_cos,
-    bm_radius,
-    bm_sin,
     get_method,
     method_names,
-    naive_laplace_from_numerator,
 )
 from divsamp.stats import ks_critical_value, ks_statistic
 from divsamp.urand import BitSource, EntropyError
@@ -37,6 +35,11 @@ def _draw_one(name, src, p, n=None):
     return get_method(name, n).make_drawer(src, p)()
 
 
+def _naive(m, p):
+    """The naive-laplace drawer's output for grid numerator ``m`` at precision ``p``."""
+    return _draw_one("naive-laplace", ScriptedSource([m], p), p)
+
+
 class TestNaiveLaplace:
     def test_quartile_numerator(self):
         # m=1 at p=2 is u=0.25, whose quantile is -log 2
@@ -44,11 +47,10 @@ class TestNaiveLaplace:
         assert _draw_one("naive-laplace", src, 2) == -math.log(2.0)
 
     def test_zero_numerator_remapped(self):
-        lowest = naive_laplace_from_numerator(1, 53)
-        assert naive_laplace_from_numerator(0, 53) == lowest
+        assert _naive(0, 53) == _naive(1, 53)
 
     def test_median_numerator_gives_positive_zero(self):
-        out = naive_laplace_from_numerator(1 << 52, 53)
+        out = _naive(1 << 52, 53)
         assert out == 0.0 and math.copysign(1.0, out) == 1.0
 
     def test_consumes_one_uniform(self):
@@ -59,7 +61,7 @@ class TestNaiveLaplace:
 
     @given(st.integers(min_value=1, max_value=2**16 - 1))
     def test_sign_tracks_which_half(self, m):
-        out = naive_laplace_from_numerator(m, 16)
+        out = _naive(m, 16)
         if m < 2**15:
             assert out < 0.0
         elif m > 2**15:
@@ -67,35 +69,44 @@ class TestNaiveLaplace:
 
     def test_image_size_at_p8(self):
         # 256 numerators, but 0 is remapped onto 1: 255 distinct outputs
-        outs = {naive_laplace_from_numerator(m, 8) for m in range(256)}
+        outs = {_naive(m, 8) for m in range(256)}
         assert len(outs) == 255
 
     def test_p1_always_emits_zero(self):
         # both grid points map to u = 0.5: the zero numerator is remapped onto 1
-        assert {naive_laplace_from_numerator(m, 1) for m in (0, 1)} == {0.0}
+        assert {_naive(m, 1) for m in (0, 1)} == {0.0}
 
 
 class TestBoxMullerMaps:
-    @given(st.integers(0, 2**53 - 1), st.integers(0, 2**53 - 1))
-    def test_pair_matches_branches(self, m1, m2):
-        u1, u2 = math.ldexp(m1, -53), math.ldexp(m2, -53)
-        assert sampler_mod._bm_pair(u1, u2, math) == (bm_cos(u1, u2), bm_sin(u1, u2))
+    @given(st.data())
+    def test_pair_matches_branches(self, data):
+        # the stream returns the kernel helper's pair, and the pair attack's
+        # factored arithmetic reproduces it at the same grid pair
+        p = data.draw(st.integers(1, 53), label="p")
+        m1 = data.draw(st.integers(0, (1 << p) - 1), label="m1")
+        m2 = data.draw(st.integers(0, (1 << p) - 1), label="m2")
+        stream = GaussianStream(ScriptedSource([m1, m2], p), p)
+        q1, q2 = stream.next(), stream.next()
+        pair = sampler_mod._bm_pair(math.ldexp(m1, -p), math.ldexp(m2, -p), math)
+        assert _bits([q1, q2]) == _bits(pair)
+        assert _pair_matches(q1, q2, 0.0, p, 1.0, m1, 0, m2, 0)
 
     def test_radius_one_point(self):
         # 1 - u1 == e**-0.5 makes the radial factor exactly 1
         u1 = 1.0 - math.exp(-0.5)
-        assert bm_radius(u1) == 1.0
-        assert bm_cos(u1, 0.0) == 1.0
-        assert bm_sin(u1, 0.25) == 1.0 * math.sin(math.pi / 2)
+        assert sampler_mod._bm_radius(u1, math) == 1.0
+        assert sampler_mod._bm_pair(u1, 0.0, math)[0] == 1.0
+        assert sampler_mod._bm_pair(u1, 0.25, math)[1] == 1.0 * math.sin(math.pi / 2)
 
     def test_zero_uniform_degenerate(self):
-        assert bm_radius(0.0) == 0.0
-        assert bm_cos(0.0, 0.0) == 0.0
+        assert sampler_mod._bm_radius(0.0, math) == 0.0
+        assert sampler_mod._bm_pair(0.0, 0.0, math)[0] == 0.0
 
     def test_quarter_turn(self):
         u1 = 0.7
-        assert bm_cos(u1, 0.25) == bm_radius(u1) * math.cos(math.pi / 2)
-        assert bm_sin(u1, 0.5) == bm_radius(u1) * math.sin(math.pi)
+        r = sampler_mod._bm_radius(u1, math)
+        assert sampler_mod._bm_pair(u1, 0.25, math)[0] == r * math.cos(math.pi / 2)
+        assert sampler_mod._bm_pair(u1, 0.5, math)[1] == r * math.sin(math.pi)
 
 
 class TestGaussianStream:
@@ -104,8 +115,9 @@ class TestGaussianStream:
         src = ScriptedSource([100, 30], 8)
         stream = GaussianStream(src, 8)
         u1, u2 = 100 / 256, 30 / 256
-        assert stream.next() == bm_cos(u1, u2)
-        assert stream.next() == bm_sin(u1, u2)
+        r = math.sqrt(-2.0 * math.log(1.0 - u1))
+        assert stream.next() == r * math.cos(TWO_PI * u2)
+        assert stream.next() == r * math.sin(TWO_PI * u2)
 
     def test_phase_cycle(self):
         src = BitSource(seed=9)
@@ -393,7 +405,7 @@ class TestBulkDraw:
     def test_replays_scripted_source(self):
         src = ScriptedSource([1, 0, 255], 8)
         assert get_method("naive-laplace").column(src, 8, 3).tolist() == [
-            naive_laplace_from_numerator(m, 8) for m in (1, 0, 255)]
+            _naive(m, 8) for m in (1, 0, 255)]
         assert (src.uniforms_drawn, src.bits_drawn) == (3, 24)
 
     def test_scripted_source_checks_precision(self):
