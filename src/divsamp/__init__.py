@@ -34,14 +34,7 @@ from .stats import (
     ks_statistic,
     moments,
 )
-from .urand import (
-    BitSource,
-    EntropyError,
-    UniformVariate,
-    neighbors,
-    next_uniform,
-    round_to_variate,
-)
+from .urand import BitSource, EntropyError
 
 __version__ = "0.1.0"
 
@@ -55,7 +48,6 @@ __all__ = [
     "PhaseAlignmentError",
     "QueryOracle",
     "SamplerMethod",
-    "UniformVariate",
     "brute_force_single_gaussian",
     "count_feasible_checks",
     "distinct_output_count",
@@ -72,7 +64,4 @@ __all__ = [
     "method_names",
     "mironov_attack",
     "moments",
-    "neighbors",
-    "next_uniform",
-    "round_to_variate",
 ]

@@ -26,7 +26,7 @@ from typing import Callable
 from . import attack as attack_mod
 from . import dist, stats
 from .sampler import GaussianStream, get_method
-from .urand import MAX_PRECISION, BitSource
+from .urand import MAX_PRECISION, BitSource, check_positive
 
 EXIT_OK = 0
 EXIT_FAIL = 2
@@ -226,8 +226,7 @@ def _emit(args, payload: dict, csv_rows: Callable[[], tuple[list[str], list[list
 
 
 def _run_sample(args) -> int:
-    if args.count < 1:
-        raise ValueError(f"count must be positive, got {args.count}")
+    check_positive(args.count, "count")
     method = get_method(args.method, args.n)
     scale = _noise_scale(args, method)
     src = BitSource(args.seed)
@@ -386,8 +385,7 @@ def _run_verify(args) -> int:
 
 
 def _run_complexity(args) -> int:
-    if args.count < 1:
-        raise ValueError(f"count must be positive, got {args.count}")
+    check_positive(args.count, "count")
     theoretical = attack_mod.expected_checks(args.p)
     src = BitSource(args.seed)  # checks the seed, which the report names even with no draws
     payload = {

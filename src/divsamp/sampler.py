@@ -19,8 +19,11 @@ Each method's arithmetic is written once, as a *kernel*: a function of
 order, from the zero-argument ``take`` and returns that output (the
 Box-Muller pair kernel returns both halves of the pair), calling
 ``log``, ``cos``, ``sin``, ``sqrt`` and ``ldexp`` on the namespace ``lm``.
-The drawer feeds a kernel single raw numerators, with ``lm = math``; the
-precision is checked once, when the drawer is made.
+A divisible kernel also takes its order as the keyword ``n``.  Each
+registry row holds its method's kernel itself, and :func:`get_method`
+binds ``n`` with :func:`functools.partial`.  The drawer feeds a kernel
+single raw numerators, with ``lm = math``; the precision is checked once,
+when the drawer is made.
 :meth:`SamplerMethod.column` feeds it numpy columns of numerators, one
 element per output, with ``lm =`` :data:`~divsamp.columns.COLUMN_MATH`.
 Sign selections are written ``1 - 2 [condition]``, which Python and
@@ -64,7 +67,6 @@ __all__ = [
 ]
 
 _Take = Callable[[], int]
-_Kernel = Callable[[_Take, int, object], float]
 
 
 def _naive_laplace(m, p: int, lm):
@@ -147,21 +149,16 @@ def _expdiff_kernel(take: _Take, p: int, lm) -> float:
     return e1 - e2
 
 
-def _sqsum(n1: float, n2: float, n3: float, n4: float) -> float:
-    # (N1² - N2² + N3² - N4²) / 2
+def _sqsum_kernel(take: _Take, p: int, lm, n: int) -> float:
+    # (N1² - N2² + N3² - N4²) / 2 over four divisibility-n Gaussian sums
+    n1, n2, n3, n4 = [_gaussian_sum_kernel(take, p, lm, n) for _ in range(4)]
     return 0.5 * (n1 * n1 - n2 * n2 + n3 * n3 - n4 * n4)
 
 
-def _proddiff(n1: float, n2: float, n3: float, n4: float) -> float:
-    # N1 N2 - N3 N4
+def _proddiff_kernel(take: _Take, p: int, lm, n: int) -> float:
+    # N1 N2 - N3 N4 over four divisibility-n Gaussian sums
+    n1, n2, n3, n4 = [_gaussian_sum_kernel(take, p, lm, n) for _ in range(4)]
     return n1 * n2 - n3 * n4
-
-
-def _four_gaussians_kernel(combine: Callable[..., float], m: int) -> _Kernel:
-    """Kernel applying ``combine`` to four divisibility-``m`` Gaussian sums."""
-    def kernel(take: _Take, p: int, lm) -> float:
-        return combine(*[_gaussian_sum_kernel(take, p, lm, m) for _ in range(4)])
-    return kernel
 
 
 def _symmetric_cos(m, p: int, lm):
@@ -176,19 +173,13 @@ def _plain_cos(m, p: int, lm):
     return lm.cos(math.pi * lm.ldexp(m, -p))
 
 
-def _logcos_kernel(cos_factor: Callable[..., float]) -> _Kernel:
-    """Kernel for ``log(1-U1) c(U2) + log(1-U3) c(U4)`` with cosine factor ``c``."""
-    def kernel(take: _Take, p: int, lm) -> float:
-        u1 = lm.ldexp(take(), -p)
-        c2 = cos_factor(take(), p, lm)
-        u3 = lm.ldexp(take(), -p)
-        c4 = cos_factor(take(), p, lm)
-        return lm.log(1.0 - u1) * c2 + lm.log(1.0 - u3) * c4
-    return kernel
-
-
-_LOGCOS = _logcos_kernel(_plain_cos)
-_LOGCOS_SYM = _logcos_kernel(_symmetric_cos)
+def _logcos_kernel(take: _Take, p: int, lm, cos_factor=_plain_cos) -> float:
+    # log(1-U1) c(U2) + log(1-U3) c(U4) with cosine factor c
+    u1 = lm.ldexp(take(), -p)
+    c2 = cos_factor(take(), p, lm)
+    u3 = lm.ldexp(take(), -p)
+    c4 = cos_factor(take(), p, lm)
+    return lm.log(1.0 - u1) * c2 + lm.log(1.0 - u3) * c4
 
 
 # --- method registry ---------------------------------------------------------
@@ -252,19 +243,18 @@ class SamplerMethod:
 
 # name -> (family, hardening, uniforms per draw per unit of divisibility,
 # default divisibility or None for methods without one, outputs per kernel
-# call, kernel for divisibility n).  Insertion order is registry order.
-_REGISTRY: dict[str, tuple[str, str, int, int | None, int, Callable[..., _Kernel]]] = {
-    "naive-laplace": ("laplace", "naive", 1, None, 1, lambda n: _naive_kernel),
-    "box-muller": ("gaussian", "naive", 1, None, 2, lambda n: _bm_pair_kernel),
-    "laplace-expdiff": ("laplace", "divisible", 2, None, 1, lambda n: _expdiff_kernel),
-    "laplace-sqsum":
-        ("laplace", "divisible", 8, 1, 1, lambda n: _four_gaussians_kernel(_sqsum, n)),
-    "laplace-proddiff":
-        ("laplace", "divisible", 8, 1, 1, lambda n: _four_gaussians_kernel(_proddiff, n)),
-    "laplace-logcos": ("laplace", "divisible", 4, None, 1, lambda n: _LOGCOS),
-    "laplace-logcos-sym": ("laplace", "divisible", 4, None, 1, lambda n: _LOGCOS_SYM),
-    "secure-gaussian": ("gaussian", "divisible", 2, DEFAULT_DIVISIBILITY, 1,
-                        lambda n: lambda take, p, lm: _gaussian_sum_kernel(take, p, lm, n)),
+# call, kernel).  A divisible kernel takes its order as the keyword ``n``.
+# Insertion order is registry order.
+_REGISTRY: dict[str, tuple[str, str, int, int | None, int, Callable[..., object]]] = {
+    "naive-laplace": ("laplace", "naive", 1, None, 1, _naive_kernel),
+    "box-muller": ("gaussian", "naive", 1, None, 2, _bm_pair_kernel),
+    "laplace-expdiff": ("laplace", "divisible", 2, None, 1, _expdiff_kernel),
+    "laplace-sqsum": ("laplace", "divisible", 8, 1, 1, _sqsum_kernel),
+    "laplace-proddiff": ("laplace", "divisible", 8, 1, 1, _proddiff_kernel),
+    "laplace-logcos": ("laplace", "divisible", 4, None, 1, _logcos_kernel),
+    "laplace-logcos-sym":
+        ("laplace", "divisible", 4, None, 1, partial(_logcos_kernel, cos_factor=_symmetric_cos)),
+    "secure-gaussian": ("gaussian", "divisible", 2, DEFAULT_DIVISIBILITY, 1, _gaussian_sum_kernel),
 }
 
 
@@ -280,11 +270,13 @@ def get_method(name: str, n: int | None = None) -> SamplerMethod:
         check_positive(n, "divisibility")
     if name not in _REGISTRY:
         raise ValueError(f"unknown sampler method {name!r}")
-    family, hardening, per_unit, default_n, outputs, bind = _REGISTRY[name]
+    family, hardening, per_unit, default_n, outputs, kernel = _REGISTRY[name]
     if n is not None and default_n is None:
         raise ValueError(f"{name} takes no divisibility parameter")
-    order = default_n if n is None else n
-    return SamplerMethod(name, family, hardening, per_unit * (order or 1), bind(order), outputs)
+    if default_n is not None:
+        order = default_n if n is None else n
+        kernel, per_unit = partial(kernel, n=order), per_unit * order
+    return SamplerMethod(name, family, hardening, per_unit, kernel, outputs)
 
 
 def method_names() -> list[str]:

@@ -159,6 +159,5 @@ def distinct_output_count(
         raise ValueError(
             f"distinct-output census is limited to p <= {DISTINCT_COUNT_MAX_PRECISION}, got {p}"
         )
-    if draws < 1:
-        raise ValueError(f"draw count must be positive, got {draws}")
+    check_positive(draws, "draw count")
     return int(np.unique(method.column(src, p, draws).view(np.uint64)).size)

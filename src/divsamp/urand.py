@@ -1,13 +1,15 @@
 """Finite-precision uniform variates and the bit sources that feed them.
 
 Samplers in this package never consume raw floats from a platform RNG.
-They consume :class:`UniformVariate` values: dyadic rationals ``m * 2**-p``
-with an integer numerator drawn from a :class:`BitSource`.  Working on the
-numerator keeps every grid operation (rounding, neighbourhoods, bit splits)
-exact, which is what the inversion attacks and the hardened samplers both
-rely on.  The attacks round with the unchecked :func:`grid_round`;
-:func:`round_to_variate` and :func:`neighbors` are its validated forms,
-returning :class:`UniformVariate` values.
+They take raw integer numerators ``m`` of dyadic rationals ``m * 2**-p``
+from a :class:`BitSource`: one at a time through :func:`_take_numerator`,
+or in bulk through :meth:`BitSource.numerators`.  Working on the numerator
+keeps every grid operation (rounding, neighbourhoods, bit splits) exact,
+which is what the inversion attacks and the hardened samplers both rely
+on.  The attacks round with the unchecked :func:`grid_round`.  The checked
+:class:`UniformVariate` and its helpers :func:`next_uniform`,
+:func:`round_to_variate` and :func:`neighbors` are kept only for the tests
+and the benchmark probes.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ class BitSource:
             raise EntropyError("system entropy source unavailable") from exc
 
     def numerators(self, p: int, k: int) -> np.ndarray:
-        """The numerators of ``k`` successive :func:`next_uniform` calls at precision ``p``.
+        """The next ``k`` precision-``p`` numerators, as ``k`` :func:`_take_numerator` calls would.
 
         Returns exactly what those calls would on a seeded source, advances
         both counters as they would (``bits_drawn`` by ``p * k``, though

@@ -234,6 +234,21 @@ class TestLaplaceFromGaussians:
             _draw_one(name, src, 53, m)
             assert src.uniforms_drawn == 8 * m
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("p", [8, 33, 53])
+    @pytest.mark.parametrize("name", ["laplace-sqsum", "laplace-proddiff"],
+                             ids=lambda name: name.replace("-", "_"))
+    def test_divisible_draw_combines_gaussian_sums(self, name, p, n):
+        # one draw at order n is the combination of four successive
+        # secure-gaussian n-fold draws from a twin-seeded source
+        seed = 100 * n + p
+        gaussian = get_method("secure-gaussian", n).make_drawer(BitSource(seed=seed), p)
+        a, b, c, d = [gaussian() for _ in range(4)]
+        want = 0.5 * (a * a - b * b + c * c - d * d) if name == "laplace-sqsum" else a * b - c * d
+        method = get_method(name, n)
+        assert _bits([method.make_drawer(BitSource(seed=seed), p)()]) == _bits([want])
+        assert _bits(method.column(BitSource(seed=seed), p, 1).tolist()) == _bits([want])
+
 
 class TestSymmetricCos:
     def test_quarter_points_at_p8(self):

@@ -250,5 +250,6 @@ class TestDistinctOutputCount:
             )
 
     def test_draw_count_guard(self):
-        with pytest.raises(ValueError):
-            distinct_output_count(get_method("naive-laplace"), 8, 0, BitSource(seed=0))
+        for draws in (0, True, 2.5):
+            with pytest.raises(ValueError, match="draw count must be a positive integer"):
+                distinct_output_count(get_method("naive-laplace"), 8, draws, BitSource(seed=0))
