@@ -433,9 +433,6 @@ def brute_force_single_gaussian(
     """
     _check_search(p, w)
     size = 1 << p
-    # Wider windows reach no further grid points: start is already 0, and
-    # every angle window then covers [0, size).
-    w = min(w, size)
     pairs: list[tuple[int, int]] = []
     start = max(0, size - count_feasible_checks(n1, p) - w)
     first = max(start, 1)

@@ -90,12 +90,6 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     sp = commands["verify"] = sub.add_parser("verify", help="test a sampler's distribution")
     add_common(sp)
     sp.add_argument("--count", type=int, default=100_000, help="number of draws")
-    sp.add_argument(
-        "--against",
-        choices=("laplace", "gaussian"),
-        default=None,
-        help="reference family (default: the method's own family)",
-    )
 
     sp = commands["complexity"] = sub.add_parser(
         "complexity", help="search-cost model for single-output inversion"
@@ -320,19 +314,14 @@ def _run_verify(args) -> int:
         raise ValueError(f"epsilon {args.epsilon} is too small for finite moments over "
                          f"{args.count} {method.name} draws; "
                          f"it must be at least {1 / max_scale:.3g}")
-    reference = args.against or method.family
     src = BitSource(args.seed)
     values = scale * method.column(src, args.p, args.count)
-
-    if reference == "laplace":
-        # KS against laplace_cdf(x / scale): dividing by scale > 0 keeps the
-        # order, so the samples may be divided first, and ks_statistic then
-        # evaluates dist.laplace_cdf itself on a column
-        stat = stats.ks_statistic(values / scale, dist.laplace_cdf)
-        ref_variance = 2.0 * scale * scale
-    else:
-        stat = stats.ks_statistic(values, dist.gaussian_cdf)
-        ref_variance = 1.0
+    # KS of x / scale on the family's unit CDF: dividing by scale > 0 keeps
+    # the order, so the samples may be divided first, and ks_statistic then
+    # evaluates the CDF itself on a column (a Gaussian-family scale is 1.0)
+    laplace = method.family == "laplace"
+    stat = stats.ks_statistic(values / scale, dist.laplace_cdf if laplace else dist.gaussian_cdf)
+    ref_variance = (2.0 if laplace else 1.0) * scale * scale
     critical = stats.ks_critical_value(args.count)
     try:
         summary = stats.moments(values)
@@ -349,7 +338,7 @@ def _run_verify(args) -> int:
         "epsilon": args.epsilon,
         "scale": scale,
         "count": args.count,
-        "reference": reference,
+        "reference": method.family,
         "checks": [
             {
                 "name": "ks",

@@ -116,12 +116,12 @@ class TestSample:
         assert scaled["scale"] == 2.0
         assert scaled["values"] == [2.0 * v for v in base["values"]]
 
-    def test_divisibility_shows_in_metadata(self, capsys):
-        code, out, _ = run_cli(
-            ["sample", "--method", "secure-gaussian", "--n", "2", "--seed", "1"], capsys
-        )
+    # a divisible kernel bound to a non-default order
+    @pytest.mark.parametrize("method,uniforms", [("secure-gaussian", 4), ("laplace-sqsum", 16)])
+    def test_divisibility_shows_in_metadata(self, method, uniforms, capsys):
+        code, out, _ = run_cli(["sample", "--method", method, "--n", "2", "--seed", "1"], capsys)
         assert code == EXIT_OK
-        assert json.loads(out)["uniforms_per_draw"] == 4
+        assert json.loads(out)["uniforms_per_draw"] == uniforms
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
@@ -328,14 +328,16 @@ class TestVerify:
         assert payload["reference"] == "gaussian"
         assert payload["pass"] is True
 
-    def test_wrong_reference_fails(self, capsys):
+    def test_coarse_grid_fails(self, capsys):
+        # naive-laplace at p=2 draws from four grid points only
         code, out, _ = run_cli(
-            ["verify", "--seed", "2003", "--count", "20000", "--against", "gaussian"],
+            ["verify", "--p", "2", "--seed", "2003", "--count", "20000"],
             capsys,
         )
         payload = json.loads(out)
         assert code == EXIT_FAIL
         assert payload["pass"] is False
+        assert payload["checks"][0]["p_value"] == 0.0
 
     def test_epsilon_rescales_reference_variance(self, capsys):
         code, out, _ = run_cli(
@@ -366,15 +368,16 @@ class TestVerify:
     def test_ks_statistic_matches_scalar_cdf(self, name, capsys):
         # verify's KS evaluates the dist CDF on numpy columns; wrapped in a
         # lambda, the scalar CDF is called once per sample instead
-        cases = [([], "laplace", 1.0), ([], "gaussian", 1.0)]
-        if get_method(name).family == "laplace":
-            cases.append((["--epsilon", "0.3"], "laplace", 1.0 / 0.3))
-        for extra, reference, scale in cases:
+        cases = [([], 1.0)]
+        laplace = get_method(name).family == "laplace"
+        if laplace:
+            cases.append((["--epsilon", "0.3"], 1.0 / 0.3))
+        for extra, scale in cases:
             _, out, _ = run_cli(["verify", "--method", name, "--seed", "2007", "--count", "3001",
-                                 "--against", reference, *extra], capsys)
+                                 *extra], capsys)
             column = get_method(name).column(BitSource(seed=2007), 53, 3001)
             values = [scale * x for x in column.tolist()]
-            if reference == "laplace":
+            if laplace:
                 want = ks_statistic(values, lambda x: laplace_cdf(x / scale))
             else:
                 want = ks_statistic(values, lambda x: gaussian_cdf(x))
@@ -382,7 +385,7 @@ class TestVerify:
 
     def test_ks_margin_and_p_value(self, capsys):
         checks = []
-        for extra in ([], ["--against", "gaussian"]):
+        for extra in ([], ["--p", "2"]):
             _, out, _ = run_cli(["verify", "--seed", "2008", "--count", "3000", *extra], capsys)
             ks = json.loads(out)["checks"][0]
             # added after the fields the report always had, which keep their order
@@ -392,7 +395,7 @@ class TestVerify:
             assert (ks["margin"] > 0) == ks["pass"]
             assert ks["p_value"] == ks_p_value(ks["statistic"], 3000)
             checks.append(ks)
-        # naive Laplace passes against its own family and fails against Gaussian
+        # naive Laplace passes on the full grid and fails on a 4-point one
         assert checks[0]["p_value"] > 0.01 > checks[1]["p_value"] >= 0.0
 
     def test_moments_reported(self, capsys):
@@ -415,12 +418,16 @@ class TestVerify:
             ["verify", "--seed", "-1", "--count", "100"],
             ["verify", "--p", "0", "--count", "100"],
             ["verify", "--method", "secure-gaussian", "--n", "0", "--count", "100"],
+            # every sampler is verified against its own family only
+            ["verify", "--against", "gaussian"],
         ],
     )
     def test_usage_errors(self, argv, capsys):
-        code, _, err = run_cli(argv, capsys)
-        assert code == 2
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
         assert err != ""
+        if "--against" in argv:
+            assert "unrecognized arguments: --against" in err
 
 
 class TestComplexity:
@@ -447,9 +454,14 @@ class TestComplexity:
             payload["ratio"] * payload["theoretical_checks"], rel=1e-12
         )
 
-    def test_reports_window_and_cost(self, capsys):
+    # p = 20 is the largest precision the brute-force search allows
+    @pytest.mark.parametrize("p,count,cost", [
+        (10, 20, {"checks": 12589, "pairs_found": 24, "uniforms_drawn": 40, "bits_drawn": 400}),
+        (20, 1, {"checks": 367036, "pairs_found": 1, "uniforms_drawn": 2, "bits_drawn": 40}),
+    ], ids=["p10", "p20"])
+    def test_reports_window_and_cost(self, p, count, cost, capsys):
         code, out, _ = run_cli(
-            ["complexity", "--p", "10", "--count", "20", "--seed", "0"], capsys
+            ["complexity", "--p", str(p), "--count", str(count), "--seed", "0"], capsys
         )
         payload = json.loads(out)
         assert code == EXIT_OK
@@ -458,13 +470,10 @@ class TestComplexity:
             "empirical_mean_checks", "ratio", "cost",
         ]
         assert payload["window"] == 2
-        assert payload["empirical_mean_checks"] == 629.45
-        # 20 searches; each draw takes two p-bit uniforms for one
+        # one search per draw; each draw takes two p-bit uniforms for one
         # Box-Muller pair, whose sine half is discarded
-        assert payload["cost"] == {
-            "checks": 12589, "pairs_found": 24, "uniforms_drawn": 40, "bits_drawn": 400,
-        }
-        assert payload["cost"]["checks"] == payload["empirical_mean_checks"] * 20
+        assert payload["cost"] == cost
+        assert payload["empirical_mean_checks"] == cost["checks"] / count
 
     def test_window_changes_checks(self, capsys):
         _, out, _ = run_cli(
@@ -665,7 +674,7 @@ class TestTopLevel:
         ["attack", "--attack", "gaussian-pair", "--method", "box-muller", "--window", "3",
          "--target", "1.0", "--epsilon", "2", "--format", "csv", "--out", "x"],
         ["attack", "--max-q", "7", "--cand", "1,2"],
-        ["verify", "--against", "gaussian", "--n", "3", "--count", "50"],
+        ["verify", "--method", "secure-gaussian", "--n", "3", "--count", "50"],
         ["complexity", "--p", "8", "--theoretical-only", "--window", "1"],
     ])
     def test_parses_as_the_full_parser(self, argv):
