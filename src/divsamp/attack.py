@@ -392,22 +392,6 @@ class BruteForceResult:
     checks: int
 
 
-def _check_search(p: int, w: int) -> None:
-    # The precision and window checks of brute_force_single_gaussian, which
-    # complexity also runs before its first draw.
-    check_precision(p)
-    if p > BRUTE_FORCE_MAX_PRECISION:
-        raise ValueError(
-            f"brute force is limited to p <= {BRUTE_FORCE_MAX_PRECISION}, got {p}"
-        )
-    check_count(w, "window")
-    points = (1 << p) * min(2 * (2 * w + 1), 1 << p)
-    if points > MAX_SEARCH_POINTS:
-        raise ValueError(f"window {w} is too large at p = {p}: the search would "
-                         f"evaluate up to {points} grid points, more than "
-                         f"{MAX_SEARCH_POINTS}")
-
-
 def brute_force_single_gaussian(
     n1: float, p: int, w: int = DEFAULT_WINDOW
 ) -> BruteForceResult:
@@ -431,8 +415,18 @@ def brute_force_single_gaussian(
             finite, or ``w`` is negative, not an ``int``, or so wide that
             the search would pass ``MAX_SEARCH_POINTS``.
     """
-    _check_search(p, w)
+    check_precision(p)
+    if p > BRUTE_FORCE_MAX_PRECISION:
+        raise ValueError(
+            f"brute force is limited to p <= {BRUTE_FORCE_MAX_PRECISION}, got {p}"
+        )
+    check_count(w, "window")
     size = 1 << p
+    points = size * min(2 * (2 * w + 1), size)
+    if points > MAX_SEARCH_POINTS:
+        raise ValueError(f"window {w} is too large at p = {p}: the search would "
+                         f"evaluate up to {points} grid points, more than "
+                         f"{MAX_SEARCH_POINTS}")
     pairs: list[tuple[int, int]] = []
     start = max(0, size - count_feasible_checks(n1, p) - w)
     first = max(start, 1)

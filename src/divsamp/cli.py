@@ -84,7 +84,6 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
         default=None,
         help="hidden value the simulated oracle protects (default: first candidate)",
     )
-    sp.add_argument("--window", type=int, default=None, help="grid neighbourhood half-width")
     sp.add_argument("--max-queries", type=int, default=100)
 
     sp = commands["verify"] = sub.add_parser("verify", help="test a sampler's distribution")
@@ -102,7 +101,6 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
         action="store_true",
         help="skip the brute-force measurement (required for p > 20)",
     )
-    sp.add_argument("--window", type=int, default=None, help="grid neighbourhood half-width")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--out", default=None)
     return parser, commands
@@ -259,8 +257,6 @@ def _run_attack(args) -> int:
         if method.family != "gaussian":
             raise ValueError("the pair attack applies to Gaussian-family noise")
         w, campaign = attack_mod.DEFAULT_PAIR_WINDOW, attack_mod.gaussian_pair_attack
-    if args.window is not None:
-        w = args.window
     src = BitSource(args.seed)
     drawer = method.make_drawer(src, args.p)
     oracle = attack_mod.QueryOracle(target, lambda: scale * drawer())
@@ -385,9 +381,6 @@ def _run_complexity(args) -> int:
     }
     rows = [["theoretical_checks", theoretical]]
     if args.theoretical_only:
-        if args.window is not None:
-            raise ValueError("--window applies to the brute-force measurement; "
-                             "it cannot be combined with --theoretical-only")
         payload["empirical_mean_checks"] = None
         payload["ratio"] = None
         _emit(args, payload, lambda: (["quantity", "value"], rows))
@@ -396,19 +389,17 @@ def _run_complexity(args) -> int:
         raise ValueError("empirical measurement is limited to p <= "
                          f"{attack_mod.BRUTE_FORCE_MAX_PRECISION}; "
                          f"use --theoretical-only for p = {args.p}")
-    w = attack_mod.DEFAULT_WINDOW if args.window is None else args.window
-    attack_mod._check_search(args.p, w)  # before the first draw, not at the first search
     stream = GaussianStream(src, args.p)
     total = found = 0
     for _ in range(args.count):
         n1 = stream.next()  # cosine-branch output
         stream.next()  # discard the sine half; inversion targets the cosine branch
-        result = attack_mod.brute_force_single_gaussian(n1, args.p, w)
+        result = attack_mod.brute_force_single_gaussian(n1, args.p)
         total += result.checks
         found += len(result.pairs)
     empirical = total / args.count
     payload["count"] = args.count
-    payload["window"] = w
+    payload["window"] = attack_mod.DEFAULT_WINDOW
     payload["empirical_mean_checks"] = empirical
     payload["ratio"] = empirical / theoretical
     payload["cost"] = {

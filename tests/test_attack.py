@@ -671,10 +671,12 @@ class TestBruteForce:
         assert all(a != m1 for a, _ in result.pairs)
 
     def test_check_count_tracks_feasible_window(self):
+        # a window of w pads the u1 walk by exactly w rows per search
         p = 12
         n1 = stream_pair(2500, 600, p)[0]
-        result = brute_force_single_gaussian(n1, p, w=2)
-        assert 0 <= result.checks - count_feasible_checks(n1, p) <= 2
+        for w in (0, 2):
+            result = brute_force_single_gaussian(n1, p, w)
+            assert result.checks == count_feasible_checks(n1, p) + w
 
     @pytest.mark.parametrize("p", [1, 2, 8])
     def test_zero_output_case(self, p):

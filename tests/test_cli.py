@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 import divsamp
 import divsamp.cli
-from divsamp.attack import brute_force_single_gaussian
 from divsamp.cli import EXIT_FAIL, EXIT_OK, _build_parsers, _json, _parse, main
 from divsamp.dist import gaussian_cdf, laplace_cdf
 from divsamp.sampler import GaussianStream, get_method, method_names
@@ -88,6 +87,16 @@ def run_cli(argv, capsys):
     return code, out, err
 
 
+def usage_cases(cases: dict[str, list[str]]):
+    """Parametrize ``argv`` over ``cases``, a dict from fixed test id to argv.
+
+    Each case keeps its id wherever it sits, so inserting or deleting a case
+    renames no other.  The ``argvN`` ids are the names those cases had when
+    pytest numbered them by position.
+    """
+    return pytest.mark.parametrize("argv", list(cases.values()), ids=list(cases))
+
+
 class TestSample:
     def test_matches_golden_file(self, capsys):
         code, out, err = run_cli(GOLDEN_ARGV, capsys)
@@ -147,26 +156,23 @@ class TestSample:
         assert out == ""
         assert json.loads(dest.read_text())["count"] == 2
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["sample", "--count", "0"],
-            ["sample", "--method", "no-such-method"],
-            ["sample", "--p", "0"],
-            ["sample", "--p", "54"],
-            ["sample", "--n", "0"],
-            ["sample", "--epsilon", "0"],
-            ["sample", "--method", "box-muller", "--epsilon", "1.0"],
-            ["sample", "--method", "naive-laplace", "--n", "2"],
-            ["sample", "--epsilon", "nan"],
-            ["sample", "--epsilon", "inf"],
-            ["sample", "--epsilon", "1e-320"],
-            ["sample", "--method", "laplace-logcos", "--epsilon", "1e-308",
-             "--seed", "1", "--count", "200"],
-            ["sample", "--seed", "-1", "--count", "3"],
-            ["sample", "--method", "secure-gaussian", "--n", "-2"],
-        ],
-    )
+    @usage_cases({
+        "argv0": ["sample", "--count", "0"],
+        "argv1": ["sample", "--method", "no-such-method"],
+        "argv2": ["sample", "--p", "0"],
+        "argv3": ["sample", "--p", "54"],
+        "argv4": ["sample", "--n", "0"],
+        "argv5": ["sample", "--epsilon", "0"],
+        "argv6": ["sample", "--method", "box-muller", "--epsilon", "1.0"],
+        "argv7": ["sample", "--method", "naive-laplace", "--n", "2"],
+        "argv8": ["sample", "--epsilon", "nan"],
+        "argv9": ["sample", "--epsilon", "inf"],
+        "argv10": ["sample", "--epsilon", "1e-320"],
+        "argv11": ["sample", "--method", "laplace-logcos", "--epsilon", "1e-308",
+                   "--seed", "1", "--count", "200"],
+        "argv12": ["sample", "--seed", "-1", "--count", "3"],
+        "argv13": ["sample", "--method", "secure-gaussian", "--n", "-2"],
+    })
     def test_usage_errors(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 2
@@ -269,34 +275,30 @@ class TestAttack:
         assert lines[0].startswith("# command=attack")
         assert lines[1] == "round,query,eliminated"
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["attack", "--candidates", ""],
-            ["attack", "--candidates", "1.0,abc"],
-            ["attack", "--attack", "mironov", "--method", "box-muller"],
-            ["attack", "--attack", "gaussian-pair", "--method", "naive-laplace"],
-            ["attack", "--attack", "unknown-kind"],
-            ["attack", "--window", "-1"],
-            ["attack", "--candidates", "0.0,nan", "--seed", "1"],
-            ["attack", "--target", "nan", "--seed", "1"],
-            ["attack", "--max-queries", "-5", "--seed", "1"],
-            ["attack", "--epsilon", "nan", "--seed", "1"],
-            ["attack", "--epsilon", "inf", "--seed", "1"],
-            ["attack", "--epsilon", "1e-320", "--seed", "1"],
-            ["attack", "--epsilon", "1e-308", "--seed", "1"],
-            ["attack", "--seed", "1", "--window", "100000000", "--max-queries", "2"],
-            ["attack", "--attack", "gaussian-pair", "--method", "box-muller",
-             "--window", "128", "--seed", "1"],
-            ["attack", "--seed", "-1"],
-            ["attack", "--p", "54"],
-            ["attack", "--attack", "gaussian-pair", "--method", "box-muller", "--window", "-1"],
-        ],
-    )
+    @usage_cases({
+        "argv0": ["attack", "--candidates", ""],
+        "argv1": ["attack", "--candidates", "1.0,abc"],
+        "argv2": ["attack", "--attack", "mironov", "--method", "box-muller"],
+        "argv3": ["attack", "--attack", "gaussian-pair", "--method", "naive-laplace"],
+        "argv4": ["attack", "--attack", "unknown-kind"],
+        # every attack runs at the library's default window
+        "argv5": ["attack", "--window", "3"],
+        "argv6": ["attack", "--candidates", "0.0,nan", "--seed", "1"],
+        "argv7": ["attack", "--target", "nan", "--seed", "1"],
+        "argv8": ["attack", "--max-queries", "-5", "--seed", "1"],
+        "argv9": ["attack", "--epsilon", "nan", "--seed", "1"],
+        "argv10": ["attack", "--epsilon", "inf", "--seed", "1"],
+        "argv11": ["attack", "--epsilon", "1e-320", "--seed", "1"],
+        "argv12": ["attack", "--epsilon", "1e-308", "--seed", "1"],
+        "argv15": ["attack", "--seed", "-1"],
+        "argv16": ["attack", "--p", "54"],
+    })
     def test_usage_errors(self, argv, capsys):
-        code, _, err = run_cli(argv, capsys)
-        assert code == 2
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
         assert err != ""
+        if "--window" in argv:
+            assert "unrecognized arguments: --window" in err
 
 
 class TestVerify:
@@ -403,25 +405,22 @@ class TestVerify:
         m = json.loads(out)["moments"]
         assert set(m) == {"mean", "variance", "skewness", "excess_kurtosis"}
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["verify", "--count", "2"],
-            ["verify", "--against", "poisson"],
-            ["verify", "--method", "box-muller", "--epsilon", "1.0"],
-            ["verify", "--epsilon", "nan", "--count", "100"],
-            ["verify", "--epsilon", "inf", "--count", "100"],
-            ["verify", "--epsilon", "1e-320", "--count", "100"],
-            ["verify", "--epsilon", "1e-200", "--count", "1000", "--seed", "1"],
-            # naive-laplace emits only 0.0 at p=1: no variance to check
-            ["verify", "--p", "1", "--seed", "0", "--count", "10"],
-            ["verify", "--seed", "-1", "--count", "100"],
-            ["verify", "--p", "0", "--count", "100"],
-            ["verify", "--method", "secure-gaussian", "--n", "0", "--count", "100"],
-            # every sampler is verified against its own family only
-            ["verify", "--against", "gaussian"],
-        ],
-    )
+    @usage_cases({
+        "argv0": ["verify", "--count", "2"],
+        "argv1": ["verify", "--against", "poisson"],
+        "argv2": ["verify", "--method", "box-muller", "--epsilon", "1.0"],
+        "argv3": ["verify", "--epsilon", "nan", "--count", "100"],
+        "argv4": ["verify", "--epsilon", "inf", "--count", "100"],
+        "argv5": ["verify", "--epsilon", "1e-320", "--count", "100"],
+        "argv6": ["verify", "--epsilon", "1e-200", "--count", "1000", "--seed", "1"],
+        # naive-laplace emits only 0.0 at p=1: no variance to check
+        "argv7": ["verify", "--p", "1", "--seed", "0", "--count", "10"],
+        "argv8": ["verify", "--seed", "-1", "--count", "100"],
+        "argv9": ["verify", "--p", "0", "--count", "100"],
+        "argv10": ["verify", "--method", "secure-gaussian", "--n", "0", "--count", "100"],
+        # every sampler is verified against its own family only
+        "argv11": ["verify", "--against", "gaussian"],
+    })
     def test_usage_errors(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "")
@@ -475,15 +474,6 @@ class TestComplexity:
         assert payload["cost"] == cost
         assert payload["empirical_mean_checks"] == cost["checks"] / count
 
-    def test_window_changes_checks(self, capsys):
-        _, out, _ = run_cli(
-            ["complexity", "--p", "10", "--count", "20", "--seed", "0", "--window", "0"], capsys
-        )
-        payload = json.loads(out)
-        assert payload["window"] == 0
-        # a window of w pads the u1 walk by w rows per search
-        assert payload["cost"]["checks"] == 12589 - 2 * 20
-
     def test_high_precision_needs_theoretical_flag(self, capsys):
         code, _, err = run_cli(["complexity", "--p", "30"], capsys)
         assert code == 2
@@ -498,23 +488,22 @@ class TestComplexity:
         assert lines[1] == "quantity,value"
         assert any(line.startswith("theoretical_checks,") for line in lines)
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["complexity", "--p", "0"],
-            ["complexity", "--p", "60", "--theoretical-only"],
-            ["complexity", "--p", "8", "--count", "0"],
-            ["complexity", "--p", "8", "--count", "5", "--seed", "-1"],
-            ["complexity", "--p", "12", "--theoretical-only", "--count", "-5"],
-            ["complexity", "--p", "53", "--theoretical-only", "--window", "2"],
-            ["complexity", "--p", "12", "--theoretical-only", "--seed", "-1"],
-            ["complexity", "--p", "8", "--window", "-1"],
-        ],
-    )
+    @usage_cases({
+        "argv0": ["complexity", "--p", "0"],
+        "argv1": ["complexity", "--p", "60", "--theoretical-only"],
+        "argv2": ["complexity", "--p", "8", "--count", "0"],
+        "argv3": ["complexity", "--p", "8", "--count", "5", "--seed", "-1"],
+        "argv4": ["complexity", "--p", "12", "--theoretical-only", "--count", "-5"],
+        # every search runs at the library's default window
+        "argv5": ["complexity", "--window", "2"],
+        "argv6": ["complexity", "--p", "12", "--theoretical-only", "--seed", "-1"],
+    })
     def test_usage_errors(self, argv, capsys):
-        code, _, err = run_cli(argv, capsys)
-        assert code == 2
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
         assert err != ""
+        if "--window" in argv:
+            assert "unrecognized arguments: --window" in err
 
 
 def library_message(call, *args) -> str:
@@ -538,21 +527,17 @@ class TestOneErrorPath:
          lambda out: library_message(BitSource, -1)),
         (["sample", "--n", "0"], "report.json",
          lambda out: library_message(get_method, "naive-laplace", 0)),
-        (["attack", "--window", "-1"], "report.json",
-         lambda out: library_message(check_count, -1, "window")),
-        (["complexity", "--p", "8", "--window", "-1"], "report.json",
-         lambda out: library_message(brute_force_single_gaussian, 0.5, 8, -1)),
+        (["attack", "--max-queries", "-1"], "report.json",
+         lambda out: library_message(check_count, -1, "query budget")),
+        (["complexity", "--p", "0"], "report.json",
+         lambda out: library_message(check_precision, 0)),
         (["verify", "--p", "1", "--seed", "0", "--count", "10"], "report.json",
          lambda out: "cannot verify naive-laplace at p=1: "
                      + library_message(moments, [0.0] * 10)),
         (["sample", "--seed", "1"], "missing/report.json",
          lambda out: f"cannot write {out}: {os.strerror(errno.ENOENT)}"),
-        (["complexity", "--p", "14", "--window", "16384", "--count", "1", "--seed", "0"],
-         "report.json",
-         lambda out: library_message(brute_force_single_gaussian, 0.5, 14, 16384)),
-    ], ids=["sample-p0", "attack-seed-negative", "sample-n0", "attack-window-negative",
-            "complexity-window-negative", "verify-p1", "sample-out-missing-dir",
-            "complexity-search-too-large"])
+    ], ids=["sample-p0", "attack-seed-negative", "sample-n0", "attack-max-queries-negative",
+            "complexity-p0", "verify-p1", "sample-out-missing-dir"])
     def test_message_is_the_library_s(self, argv, out, message, capsys, tmp_path):
         out = tmp_path / out
         code, stdout, err = run_cli([*argv, "--out", str(out)], capsys)
@@ -569,9 +554,8 @@ class TestOneErrorPath:
                 return super().next()
 
         monkeypatch.setattr(divsamp.cli, "GaussianStream", Counted)
-        for window in ("-1", "16384"):
-            code, out, _ = run_cli(["complexity", "--p", "14", "--count", "3", "--window", window],
-                                   capsys)
+        for argv in (["--p", "21", "--count", "3"], ["--p", "14", "--count", "0"]):
+            code, out, _ = run_cli(["complexity", *argv], capsys)
             assert (code, out, calls) == (2, "", [])
 
     def test_other_exceptions_propagate(self, capsys, monkeypatch):
@@ -639,16 +623,16 @@ class TestTopLevel:
     def test_main_is_reentrant(self, capsys):
         # main() parses with one parser per process; no call may leave an
         # option, a default or an error message behind for the next one
-        bad = ["attack", "--window", "-1"]
+        bad = ["attack", "--max-queries", "-1"]
         with pytest.raises(SystemExit) as exc:
             main(bad)
         assert exc.value.code == 2
         _, first_err = capsys.readouterr()
         assert first_err != ""
-        _, out, _ = run_cli(["attack", "--window", "3"], capsys)
-        assert json.loads(out)["window"] == 3
+        _, out, _ = run_cli(["attack", "--max-queries", "7"], capsys)
+        assert json.loads(out)["max_queries"] == 7
         _, out, _ = run_cli(["attack"], capsys)
-        assert json.loads(out)["window"] == 2
+        assert json.loads(out)["max_queries"] == 100
         assert json.loads(out)["seed"] is None
         code, out, _ = run_cli(GOLDEN_ARGV, capsys)
         assert code == EXIT_OK
@@ -671,11 +655,11 @@ class TestTopLevel:
         ["sample"],
         GOLDEN_ARGV,
         DEFENDED_ARGV,
-        ["attack", "--attack", "gaussian-pair", "--method", "box-muller", "--window", "3",
+        ["attack", "--attack", "gaussian-pair", "--method", "box-muller",
          "--target", "1.0", "--epsilon", "2", "--format", "csv", "--out", "x"],
         ["attack", "--max-q", "7", "--cand", "1,2"],
         ["verify", "--method", "secure-gaussian", "--n", "3", "--count", "50"],
-        ["complexity", "--p", "8", "--theoretical-only", "--window", "1"],
+        ["complexity", "--p", "8", "--theoretical-only"],
     ])
     def test_parses_as_the_full_parser(self, argv):
         assert vars(_parse(argv)) == vars(_build_parsers()[0].parse_args(argv))
