@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import divsamp
 import divsamp.cli
+from divsamp.attack import DEFAULT_WINDOW, count_feasible_checks
 from divsamp.cli import EXIT_FAIL, EXIT_OK, _build_parsers, _json, _parse, main
 from divsamp.dist import gaussian_cdf, laplace_cdf
 from divsamp.sampler import GaussianStream, get_method, method_names
@@ -473,6 +474,23 @@ class TestComplexity:
         # Box-Muller pair, whose sine half is discarded
         assert payload["cost"] == cost
         assert payload["empirical_mean_checks"] == cost["checks"] / count
+
+    def test_window_changes_checks(self, capsys):
+        p, count = 10, 20
+        _, out, _ = run_cli(
+            ["complexity", "--p", str(p), "--count", str(count), "--seed", "0"], capsys
+        )
+        payload = json.loads(out)
+        assert payload["window"] == DEFAULT_WINDOW
+        # replay the CLI's draws: cosine halves searched, sine halves discarded
+        stream = GaussianStream(BitSource(0), p)
+        feasible = 0
+        for _ in range(count):
+            feasible += count_feasible_checks(stream.next(), p)
+            stream.next()
+        assert feasible == 12589 - 2 * 20
+        # the window pads the u1 walk by that many rows per search
+        assert payload["cost"]["checks"] == feasible + DEFAULT_WINDOW * count
 
     def test_high_precision_needs_theoretical_flag(self, capsys):
         code, _, err = run_cli(["complexity", "--p", "30"], capsys)
