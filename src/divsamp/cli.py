@@ -93,14 +93,10 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     sp = commands["complexity"] = sub.add_parser(
         "complexity", help="search-cost model for single-output inversion"
     )
-    sp.add_argument("--p", type=int, default=MAX_PRECISION)
+    sp.add_argument("--p", type=int, default=MAX_PRECISION,
+                    help="uniform grid precision; a brute-force search runs for p <= 20")
     sp.add_argument("--count", type=int, default=200, help="draws for the empirical mean")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument(
-        "--theoretical-only",
-        action="store_true",
-        help="skip the brute-force measurement (required for p > 20)",
-    )
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--out", default=None)
     return parser, commands
@@ -380,36 +376,31 @@ def _run_complexity(args) -> int:
         "theoretical_checks": theoretical,
     }
     rows = [["theoretical_checks", theoretical]]
-    if args.theoretical_only:
+    if args.p > attack_mod.BRUTE_FORCE_MAX_PRECISION:  # too large to search: the model alone
         payload["empirical_mean_checks"] = None
         payload["ratio"] = None
-        _emit(args, payload, lambda: (["quantity", "value"], rows))
-        return EXIT_OK
-    if args.p > attack_mod.BRUTE_FORCE_MAX_PRECISION:
-        raise ValueError("empirical measurement is limited to p <= "
-                         f"{attack_mod.BRUTE_FORCE_MAX_PRECISION}; "
-                         f"use --theoretical-only for p = {args.p}")
-    stream = GaussianStream(src, args.p)
-    total = found = 0
-    for _ in range(args.count):
-        n1 = stream.next()  # cosine-branch output
-        stream.next()  # discard the sine half; inversion targets the cosine branch
-        result = attack_mod.brute_force_single_gaussian(n1, args.p)
-        total += result.checks
-        found += len(result.pairs)
-    empirical = total / args.count
-    payload["count"] = args.count
-    payload["window"] = attack_mod.DEFAULT_WINDOW
-    payload["empirical_mean_checks"] = empirical
-    payload["ratio"] = empirical / theoretical
-    payload["cost"] = {
-        "checks": total,
-        "pairs_found": found,
-        "uniforms_drawn": src.uniforms_drawn,
-        "bits_drawn": src.bits_drawn,
-    }
-    rows.append(["empirical_mean_checks", empirical])
-    rows.append(["ratio", payload["ratio"]])
+    else:
+        stream = GaussianStream(src, args.p)
+        total = found = 0
+        for _ in range(args.count):
+            n1 = stream.next()  # cosine-branch output
+            stream.next()  # discard the sine half; inversion targets the cosine branch
+            result = attack_mod.brute_force_single_gaussian(n1, args.p)
+            total += result.checks
+            found += len(result.pairs)
+        empirical = total / args.count
+        payload["count"] = args.count
+        payload["window"] = attack_mod.DEFAULT_WINDOW
+        payload["empirical_mean_checks"] = empirical
+        payload["ratio"] = empirical / theoretical
+        payload["cost"] = {
+            "checks": total,
+            "pairs_found": found,
+            "uniforms_drawn": src.uniforms_drawn,
+            "bits_drawn": src.bits_drawn,
+        }
+        rows.append(["empirical_mean_checks", empirical])
+        rows.append(["ratio", payload["ratio"]])
     _emit(args, payload, lambda: (["quantity", "value"], rows))
     return EXIT_OK
 

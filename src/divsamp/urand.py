@@ -40,8 +40,8 @@ class EntropyError(RuntimeError):
     """The OS entropy source failed while a secure draw was in progress."""
 
 
-def check_precision(p: int) -> int:
-    """Validate a grid precision, returning it unchanged.
+def check_precision(p: int) -> None:
+    """Validate a grid precision.
 
     Args:
         p: number of uniform bits per variate; must be an integer in
@@ -55,7 +55,6 @@ def check_precision(p: int) -> int:
         raise ValueError(f"precision must be an integer, got {p!r}")
     if not 1 <= p <= MAX_PRECISION:
         raise ValueError(f"precision must be in [1, {MAX_PRECISION}], got {p}")
-    return p
 
 
 def check_count(k: int, what: str) -> None:

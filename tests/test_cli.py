@@ -432,9 +432,7 @@ class TestVerify:
 
 class TestComplexity:
     def test_theoretical_only_full_precision(self, capsys):
-        code, out, _ = run_cli(
-            ["complexity", "--p", "53", "--theoretical-only"], capsys
-        )
+        code, out, _ = run_cli(["complexity", "--p", "53"], capsys)
         payload = json.loads(out)
         assert code == EXIT_OK
         assert payload["theoretical_checks"] == 2.0**52.5
@@ -492,10 +490,32 @@ class TestComplexity:
         # the window pads the u1 walk by that many rows per search
         assert payload["cost"]["checks"] == feasible + DEFAULT_WINDOW * count
 
-    def test_high_precision_needs_theoretical_flag(self, capsys):
-        code, _, err = run_cli(["complexity", "--p", "30"], capsys)
-        assert code == 2
-        assert "--theoretical-only" in err
+    # above the search cap the report is the model alone, and nothing is drawn
+    @pytest.mark.parametrize("p,theoretical", [
+        (21, "1482910.4003789306"), (53, "6369051672525773.0"),
+    ], ids=["p21", "p53"])
+    def test_model_only_above_search_cap(self, p, theoretical, capsys, monkeypatch):
+        def no_stream(*args):
+            raise AssertionError("no GaussianStream above the search cap")
+
+        monkeypatch.setattr(divsamp.cli, "GaussianStream", no_stream)
+        code, out, _ = run_cli(["complexity", "--p", str(p)], capsys)
+        assert code == EXIT_OK
+        assert list(json.loads(out)) == [
+            "command", "p", "seed", "theoretical_checks", "empirical_mean_checks", "ratio",
+        ]
+        assert out == (
+            '{\n  "command": "complexity",\n'
+            f'  "p": {p},\n  "seed": 0,\n  "theoretical_checks": {theoretical},\n'
+            '  "empirical_mean_checks": null,\n  "ratio": null\n}\n'
+        )
+        code, out, _ = run_cli(["complexity", "--p", str(p), "--format", "csv"], capsys)
+        assert code == EXIT_OK
+        assert out == (
+            f"# command=complexity p={p} seed=0 theoretical_checks={theoretical}"
+            " empirical_mean_checks= ratio=\n"
+            f"quantity,value\ntheoretical_checks,{theoretical}\n"
+        )
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
@@ -508,20 +528,24 @@ class TestComplexity:
 
     @usage_cases({
         "argv0": ["complexity", "--p", "0"],
-        "argv1": ["complexity", "--p", "60", "--theoretical-only"],
+        "argv1": ["complexity", "--p", "60"],
         "argv2": ["complexity", "--p", "8", "--count", "0"],
         "argv3": ["complexity", "--p", "8", "--count", "5", "--seed", "-1"],
-        "argv4": ["complexity", "--p", "12", "--theoretical-only", "--count", "-5"],
+        # count and seed are checked where no search runs, too
+        "argv4": ["complexity", "--p", "30", "--count", "-5"],
         # every search runs at the library's default window
         "argv5": ["complexity", "--window", "2"],
-        "argv6": ["complexity", "--p", "12", "--theoretical-only", "--seed", "-1"],
+        "argv6": ["complexity", "--p", "30", "--seed", "-1"],
+        # p alone decides whether a search runs
+        "argv7": ["complexity", "--p", "53", "--theoretical-only"],
     })
     def test_usage_errors(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "")
         assert err != ""
-        if "--window" in argv:
-            assert "unrecognized arguments: --window" in err
+        for flag in ("--window", "--theoretical-only"):
+            if flag in argv:
+                assert f"unrecognized arguments: {flag}" in err
 
 
 def library_message(call, *args) -> str:
@@ -572,9 +596,12 @@ class TestOneErrorPath:
                 return super().next()
 
         monkeypatch.setattr(divsamp.cli, "GaussianStream", Counted)
-        for argv in (["--p", "21", "--count", "3"], ["--p", "14", "--count", "0"]):
+        for argv in (["--p", "54", "--count", "3"], ["--p", "14", "--count", "0"]):
             code, out, _ = run_cli(["complexity", *argv], capsys)
             assert (code, out, calls) == (2, "", [])
+        # above the search cap the report needs no draw
+        code, _, _ = run_cli(["complexity", "--p", "21", "--count", "3"], capsys)
+        assert (code, calls) == (EXIT_OK, [])
 
     def test_other_exceptions_propagate(self, capsys, monkeypatch):
         def broken(seed=None):
@@ -677,7 +704,7 @@ class TestTopLevel:
          "--target", "1.0", "--epsilon", "2", "--format", "csv", "--out", "x"],
         ["attack", "--max-q", "7", "--cand", "1,2"],
         ["verify", "--method", "secure-gaussian", "--n", "3", "--count", "50"],
-        ["complexity", "--p", "8", "--theoretical-only"],
+        ["complexity", "--p", "8", "--count", "3"],
     ])
     def test_parses_as_the_full_parser(self, argv):
         assert vars(_parse(argv)) == vars(_build_parsers()[0].parse_args(argv))
