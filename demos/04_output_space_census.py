@@ -14,7 +14,8 @@ Run:  python demos/04_output_space_census.py
 
 import math
 
-from divsamp import BitSource, distinct_output_count, get_method, laplace_inverse_cdf
+from divsamp import BitSource, distinct_output_count, get_method
+from divsamp.dist import laplace_inverse_cdf
 
 P = 8
 DRAWS = 200_000
@@ -23,7 +24,7 @@ DRAWS = 200_000
 # Distinctness is by IEEE bit pattern, the resolution an attacker sees.
 
 for name in ("naive-laplace", "laplace-expdiff", "laplace-logcos", "box-muller"):
-    count = distinct_output_count(get_method(name), P, DRAWS, BitSource(seed=123))
+    count = distinct_output_count(get_method(name).column(BitSource(seed=123), P, DRAWS))
     print(f"{name:<18} emits {count:>7} distinct floats in {DRAWS} draws at p={P}")
 
 # --- the naive image, written out -------------------------------------------
@@ -52,7 +53,7 @@ for a, b in zip(image[mid : mid + 3], image[mid + 1 : mid + 4]):
 # product grid 2^{4p}; at p = 8 a short run already overwhelms the
 # 256-point ceiling the naive sampler is stuck under.
 
-hardened = distinct_output_count(get_method("laplace-logcos"), P, DRAWS, BitSource(seed=9))
+hardened = distinct_output_count(get_method("laplace-logcos").column(BitSource(seed=9), P, DRAWS))
 print()
 print(f"laplace-logcos distinct outputs: {hardened} "
       f"({hardened / DRAWS:.2%} of draws were new floats)")

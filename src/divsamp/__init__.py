@@ -24,7 +24,7 @@ from .attack import (
     invert_box_muller,
     mironov_attack,
 )
-from .dist import gaussian_cdf, laplace_cdf, laplace_inverse_cdf
+from .dist import gaussian_cdf, laplace_cdf
 from .sampler import GaussianStream, SamplerMethod, get_method, method_names
 from .stats import (
     MomentSummary,
@@ -60,7 +60,6 @@ __all__ = [
     "ks_p_value",
     "ks_statistic",
     "laplace_cdf",
-    "laplace_inverse_cdf",
     "method_names",
     "mironov_attack",
     "moments",

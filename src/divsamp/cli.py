@@ -115,7 +115,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     # hands it everything after the subcommand name, in about 60% of the time.
     # Anything it leaves over, and any argv that does not start with a
     # subcommand, goes through the full parser, so every usage error reads
-    # as before.
+    # as the full parser's.
     parser, commands = _parsers()
     if argv and argv[0] in commands:
         args, rest = commands[argv[0]].parse_known_args(
@@ -127,12 +127,12 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def _draw_bound(method) -> float:
-    # Every grid uniform has 1 - u >= 2**-53, so -log(1 - u) <= L = 53 ln 2,
-    # and a unit-scale draw that combines U uniforms is at most U * L in
-    # magnitude (logcos reaches 2L from U = 4; sqsum and proddiff over
-    # 2m-fold Gaussians, each output at most sqrt(2m * 2L), reach U L / 2
-    # and U L from U = 8m).
-    return method.uniforms_per_draw * 53 * math.log(2.0)
+    # Every grid uniform has 1 - u >= 2**-p >= 2**-MAX_PRECISION, so
+    # -log(1 - u) <= L = MAX_PRECISION ln 2, and a unit-scale draw that
+    # combines U uniforms is at most U * L in magnitude (logcos reaches 2L
+    # from U = 4; sqsum and proddiff over 2m-fold Gaussians, each output at
+    # most sqrt(2m * 2L), reach U L / 2 and U L from U = 8m).
+    return method.uniforms_per_draw * MAX_PRECISION * math.log(2.0)
 
 
 def _noise_scale(args, method) -> float:
@@ -415,7 +415,3 @@ def main(argv: list[str] | None = None) -> int:
         return _HANDLERS[args.command](args)
     except ValueError as exc:
         _parsers()[0].error(str(exc))  # exits with code 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

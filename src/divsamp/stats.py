@@ -17,12 +17,9 @@ import numpy as np
 
 from .columns import COLUMN_MATH
 from .dist import _gaussian_cdf, _laplace_cdf, gaussian_cdf, laplace_cdf
-from .sampler import SamplerMethod
-from .urand import BitSource, check_positive, check_precision
+from .urand import check_positive
 
 KS_CRIT_001 = 1.628
-
-DISTINCT_COUNT_MAX_PRECISION = 16
 
 __all__ = [
     "KS_CRIT_001",
@@ -145,19 +142,11 @@ def moments(samples) -> MomentSummary:
     )
 
 
-def distinct_output_count(
-    method: SamplerMethod, p: int, draws: int, src: BitSource
-) -> int:
-    """Number of distinct output bit patterns over ``draws`` samples.
+def distinct_output_count(values) -> int:
+    """Number of distinct IEEE-754 bit patterns in ``values``.
 
-    Distinctness is by IEEE-754 bit pattern (so 0.0 and -0.0 count
-    separately), which is the resolution an attacker observes.  Restricted
-    to ``p <= 16`` where exhausting the output space is tractable.
+    Distinctness is by bit pattern (so 0.0 and -0.0 count separately),
+    which is the resolution an attacker observes.  Callers draw the column,
+    e.g. with a sampler method's ``column``.
     """
-    check_precision(p)
-    if p > DISTINCT_COUNT_MAX_PRECISION:
-        raise ValueError(
-            f"distinct-output census is limited to p <= {DISTINCT_COUNT_MAX_PRECISION}, got {p}"
-        )
-    check_positive(draws, "draw count")
-    return int(np.unique(method.column(src, p, draws).view(np.uint64)).size)
+    return int(np.unique(np.asarray(values, dtype=np.float64).view(np.uint64)).size)

@@ -13,9 +13,8 @@ import pytest
 import scipy.stats
 
 from divsamp.dist import gaussian_cdf, laplace_cdf
-from divsamp.sampler import SamplerMethod, get_method
+from divsamp.sampler import get_method
 from divsamp.stats import (
-    DISTINCT_COUNT_MAX_PRECISION,
     KS_CRIT_001,
     MomentSummary,
     distinct_output_count,
@@ -225,31 +224,17 @@ class TestMoments:
 class TestDistinctOutputCount:
     def test_naive_image_is_tiny(self):
         # 2**8 grid points, numerator 0 folded onto 1: 255 reachable outputs
-        count = distinct_output_count(
-            get_method("naive-laplace"), 8, 20_000, BitSource(seed=601)
-        )
-        assert count == 255
+        column = get_method("naive-laplace").column(BitSource(seed=601), 8, 20_000)
+        assert distinct_output_count(column) == 255
 
     def test_hardened_image_blows_past_grid_size(self):
-        count = distinct_output_count(
-            get_method("laplace-logcos"), 8, 20_000, BitSource(seed=602)
-        )
-        assert count > 256
+        column = get_method("laplace-logcos").column(BitSource(seed=602), 8, 20_000)
+        assert distinct_output_count(column) > 256
+
+    def test_whole_grid_gives_the_exact_image(self):
+        # every numerator once: the whole image, numerator 0 folded onto 1
+        column = get_method("naive-laplace").column(ScriptedSource(range(256), 8), 8, 256)
+        assert distinct_output_count(column) == 255
 
     def test_zero_signs_counted_separately(self):
-        # +0.0 for an even numerator, -0.0 for an odd one
-        stub = SamplerMethod("stub", "laplace", "naive", 1,
-                             lambda take, p, lm: 0.0 * (1.0 - 2.0 * (take() & 1)))
-        assert distinct_output_count(stub, 8, 4, ScriptedSource([0, 1, 2, 3], 8)) == 2
-
-    def test_precision_guard(self):
-        with pytest.raises(ValueError):
-            distinct_output_count(
-                get_method("naive-laplace"), DISTINCT_COUNT_MAX_PRECISION + 1,
-                10, BitSource(seed=0),
-            )
-
-    def test_draw_count_guard(self):
-        for draws in (0, True, 2.5):
-            with pytest.raises(ValueError, match="draw count must be a positive integer"):
-                distinct_output_count(get_method("naive-laplace"), 8, draws, BitSource(seed=0))
+        assert distinct_output_count([0.0, -0.0, 0.0, -0.0]) == 2
