@@ -7,6 +7,7 @@ enumeration rather than against the closed form under test.
 
 import math
 import random
+import types
 
 import numpy as np
 import pytest
@@ -31,12 +32,12 @@ from divsamp.attack import (
     mironov_attack,
 )
 from divsamp import attack
-from divsamp.attack import _laplace_survives, _nearest_first, _pair_survives
+from divsamp.attack import _laplace_survives, _nearest_first, _pair_matches, _pair_survives
 from divsamp.dist import laplace_cdf
 from divsamp.sampler import (
     TWO_PI, GaussianStream, _bm_pair, _bm_radius, _naive_laplace, get_method,
 )
-from divsamp.urand import BitSource
+from divsamp.urand import BitSource, grid_round
 from conftest import ScriptedSource, reference_brute_force
 
 # invalid campaign arguments shared by both attacks; each must be rejected
@@ -310,6 +311,41 @@ class TestGaussianPairAttack:
             assert isinstance(q1, float) and isinstance(q2, float)
 
 
+def campaign_oracle(kind, seed, skip=0):
+    """A target-0 oracle over seeded noise for ``kind``'s attack, ``skip`` draws in."""
+    if kind == "mironov":
+        stream, noise = None, get_method("naive-laplace").make_drawer(BitSource(seed=seed))
+    else:
+        stream = GaussianStream(BitSource(seed=seed))
+        noise = stream.next
+    for _ in range(skip):
+        noise()
+    return QueryOracle(0.0, noise, stream=stream)
+
+
+class TestBudgetPerCampaign:
+    """A campaign's budget and ``queries_used`` count its own queries.
+
+    The oracle's ``call_count`` keeps counting across campaigns, so a second
+    campaign on one oracle must not read the first one's queries as its own.
+    """
+
+    @pytest.mark.parametrize("kind", ["mironov", "pair"])
+    def test_second_campaign_on_one_oracle(self, kind):
+        attack_fn = mironov_attack if kind == "mironov" else gaussian_pair_attack
+        oracle = campaign_oracle(kind, 9500)
+        first = attack_fn(oracle, [0.0, 1.0], max_queries=10)
+        second = attack_fn(oracle, [0.0, 1.0], max_queries=10)
+        for out in (first, second):
+            assert (out.status, out.value, out.queries_used) == ("identified", 0.0, 10)
+            assert len(out.trace) == (10 if kind == "mironov" else 5)
+            assert out.survival_checks > len(out.trace)
+        assert oracle.call_count == 20
+        # the second campaign is the one a fresh oracle ten draws in would give
+        assert second == attack_fn(campaign_oracle(kind, 9500, skip=10), [0.0, 1.0],
+                                   max_queries=10)
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -412,6 +448,46 @@ class TestNearestFirst:
             checked += 1
         assert checked >= 250
 
+    @pytest.mark.parametrize("target", [0.0, 1.0, -0.375])
+    @pytest.mark.parametrize("p", [20, 53])
+    def test_true_pair_near_the_centre_evaluates_at_most_five_points(
+        self, target, p, monkeypatch
+    ):
+        # The centre (m1, m2) and its four edge neighbours come first.  Every
+        # grid point evaluated multiplies its radius by its angle's cosine
+        # once, so a cosine that counts its reflected products counts points.
+        evaluations = []
+
+        class Cosine(float):
+            def __rmul__(self, radius):
+                evaluations.append(radius)
+                return float.__rmul__(self, radius)
+
+        counted = types.SimpleNamespace(**vars(math))
+        counted.cos = lambda x: Cosine(math.cos(x))
+        monkeypatch.setattr(attack, "math", counted)
+        rng = random.Random(9410)
+        checked = off_centre = 0
+        for _ in range(400):
+            # m1 >= 1: the zero radius takes the exact (0, 0) branch
+            m1, m2 = rng.randrange(1, 1 << p), rng.randrange(1 << p)
+            n1, n2 = stream_pair(m1, m2, p)
+            q1, q2 = target + n1, target + n2
+            u1, u2 = invert_box_muller(q1 - target, q2 - target)
+            d = abs(grid_round(u1, p) - m1) + abs(grid_round(u2, p) - m2)
+            if d > 1:
+                continue
+            evaluations.clear()
+            assert _pair_survives(q1, q2, target, p, DEFAULT_PAIR_WINDOW, 1.0)
+            assert 1 <= len(evaluations) <= 5
+            checked += 1
+            off_centre += d
+        assert checked >= 300
+        if target != 0.0 and p == 53:
+            # adding the target rounds the noise, so the implied grid pair
+            # is often a neighbour of the true one
+            assert off_centre >= 20
+
 
 class TestSurvivalChecksAgainstVariateReference:
     """The integer-numerator survival checks agree with the variate formulation.
@@ -468,6 +544,39 @@ class TestSurvivalChecksAgainstVariateReference:
         assert _pair_survives(q1, q2, c, p, w, scale) == reference_pair_survives(
             q1, q2, c, p, w, scale
         )
+
+    @pytest.mark.parametrize("w", [0, 1, 4])
+    @pytest.mark.parametrize("p", [8, 53])
+    @pytest.mark.parametrize("at1", ["low", "middle", "top"])
+    @pytest.mark.parametrize("at2", ["low", "middle", "top"])
+    def test_pair_off_centre_offsets(self, at1, at2, p, w):
+        # Queries from each grid pair of the 5x5 block around (m1, m2) but
+        # the centre, with the grid's edges among the m: the pair check
+        # agrees with the reference whether the query's grid pair is the
+        # centre it rounds to or not, and, with the window forced onto
+        # (m1, m2), finds the pair exactly when some point of that window
+        # reproduces the query, whatever the point's place in the order.
+        top = (1 << p) - 1
+        place = {"low": 0, "middle": 3 << (p - 2), "top": top}
+        m1, m2 = place[at1], place[at2]
+        for d1 in range(-2, 3):
+            for d2 in range(-2, 3):
+                k1, k2 = m1 + d1, m2 + d2
+                if (d1, d2) == (0, 0) or not (0 <= k1 <= top and 0 <= k2 <= top):
+                    continue
+                n1, n2 = stream_pair(k1, k2, p)
+                for true_c, c in [(0.0, 0.0), (0.75, 0.75), (0.0, 1.0), (0.75, 0.75 + 2**-30)]:
+                    q1, q2 = true_c + n1, true_c + n2
+                    assert _pair_survives(q1, q2, c, p, w, 1.0) == reference_pair_survives(
+                        q1, q2, c, p, w, 1.0)
+                    window1 = range(max(0, m1 - w), min(top, m1 + w) + 1)
+                    window2 = range(max(0, m2 - w), min(top, m2 + w) + 1)
+                    assert _pair_matches(q1, q2, c, p, 1.0, m1, w, m2, w) == any(
+                        c + a == q1 and c + b == q2
+                        for j1 in window1
+                        for j2 in window2
+                        for a, b in [_bm_pair(math.ldexp(j1, -p), math.ldexp(j2, -p), math)]
+                    )
 
 
 class TestTrueCandidateSurvives:

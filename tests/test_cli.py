@@ -19,13 +19,13 @@ from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import divsamp
 import divsamp.cli
 from divsamp.attack import DEFAULT_WINDOW, count_feasible_checks
-from divsamp.cli import EXIT_FAIL, EXIT_OK, _build_parsers, _json, _parse, main
+from divsamp.cli import EXIT_FAIL, EXIT_OK, _Rounds, _build_parsers, _json, _parse, main
 from divsamp.dist import gaussian_cdf, laplace_cdf
 from divsamp.sampler import GaussianStream, get_method, method_names
 from divsamp.stats import ks_p_value, ks_statistic, moments
@@ -636,6 +636,16 @@ json_trees = st.recursive(
 )
 
 
+# attack traces: scalar and pair queries, and 0, 1 or 2 eliminated
+# candidates, over every float json writes specially and subnormals
+trace_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072e-308]),
+)
+traces = st.lists(st.tuples(st.one_of(trace_floats, st.tuples(trace_floats, trace_floats)),
+                            st.lists(trace_floats, max_size=2)), max_size=6)
+
+
 class TestJsonWriter:
     """``cli._json`` writes what ``json.dumps(value, indent=2)`` writes, byte for byte."""
 
@@ -643,6 +653,17 @@ class TestJsonWriter:
     @settings(max_examples=200)
     def test_matches_json_dumps(self, tree):
         assert _json(tree) + "\n" == json.dumps(tree, indent=2) + "\n"
+
+    @given(traces)
+    @example([])
+    @settings(max_examples=200)
+    def test_trace_matches_json_dumps(self, rounds):
+        # the trace writer, at the top level and inside a report, against
+        # the round objects the report's "trace" stands for
+        report = {"queries_used": 7, "trace": _Rounds(rounds), "cost": {"survival_checks": 3}}
+        expected = {**report, "trace": [{"query": q, "eliminated": gone} for q, gone in rounds]}
+        assert _json(report) == json.dumps(expected, indent=2)
+        assert _json(report["trace"]) == json.dumps(expected["trace"], indent=2)
 
     def test_float_subclass_written_as_float(self):
         class Tagged(float):
