@@ -7,6 +7,8 @@ enumeration rather than against the closed form under test.
 
 import math
 import random
+import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -787,6 +789,23 @@ class TestBruteForce:
             result = brute_force_single_gaussian(n1, p, w)
             assert result.checks == count_feasible_checks(n1, p) + w
 
+    @pytest.mark.parametrize("p", range(1, 15))
+    def test_checks_are_feasible_rows_plus_window(self, p):
+        # checks counts the feasible rows plus w rows below the analytic
+        # edge, capped at the grid, whatever the target: 0.0 (every row), a
+        # radius and its negation (t = ±1 at its row), and 1e300 (no row's)
+        size = 1 << p
+        r = _bm_radius(math.ldexp(size >> 1, -p), math)
+        for n1 in (0.0, r, -r, 1e300):
+            for w in (0, 2, 5, size):
+                if size * min(2 * (2 * w + 1), size) > MAX_SEARCH_POINTS:
+                    # w = 2**p at p = 14: past the cap, rejected before searching
+                    with pytest.raises(ValueError, match="too large"):
+                        brute_force_single_gaussian(n1, p, w)
+                    continue
+                checks = brute_force_single_gaussian(n1, p, w).checks
+                assert checks == min(size, count_feasible_checks(n1, p) + w), (n1, p, w)
+
     @pytest.mark.parametrize("p", [1, 2, 8])
     def test_zero_output_case(self, p):
         # only the zero radius reaches ±0.0: every angle with u1 = 0, nothing else
@@ -799,6 +818,9 @@ class TestBruteForce:
         # 12.0 needs u1 so close to 1 that no p=8 grid point reaches it
         result = brute_force_single_gaussian(12.0, 8)
         assert result.pairs == []
+        # the largest double over the smallest radii overflows n1 / r to inf,
+        # which no row reaches either, and without a warning
+        assert brute_force_single_gaussian(sys.float_info.max, 13, 10**6).pairs == []
 
     def test_result_type(self):
         assert isinstance(brute_force_single_gaussian(1.0, 6), BruteForceResult)
@@ -879,6 +901,74 @@ class TestBruteForceMatchesReference:
         got = brute_force_single_gaussian(n1, p, w)
         want = reference_brute_force(n1, p, w)
         assert (got.pairs, got.checks) == (want.pairs, want.checks)
+
+
+class TestBruteForceBlocks:
+    """The block edges of the search's numpy filter, against the reference.
+
+    ``_BLOCK_POINTS`` counts the angles a block gathers, ``2(2w + 1)`` per
+    row.  Each case sets it to hold ``rows`` rows at its window; for one
+    row it is set to one point, less than a row, which still takes a row
+    per block.
+    """
+
+    @staticmethod
+    def set_rows(monkeypatch, rows, w):
+        points = 1 if rows == 1 else rows * 2 * (2 * w + 1)
+        monkeypatch.setattr(attack, "_BLOCK_POINTS", points)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    def test_matches_reference(self, rows, monkeypatch):
+        edges = set()  # where in its block each pair's row fell
+        for p in range(6, 11):
+            size = 1 << p
+            rng = random.Random(p)
+            # plus a pair planted on the last row, which ends the last block
+            last_row = stream_pair(size - 1, rng.randrange(size), p)[0]
+            targets = brute_force_targets(p, rng) + [last_row]
+            for w in (0, 2):
+                self.set_rows(monkeypatch, rows, w)
+                for n1 in targets:
+                    got = brute_force_single_gaussian(n1, p, w)
+                    want = reference_brute_force(n1, p, w)
+                    assert (got.pairs, got.checks) == (want.pairs, want.checks), (n1, p, w)
+                    first = max(1, size - got.checks)  # the first block's first row
+                    short = (size - first) % rows != 0
+                    for m1 in {m1 for m1, _ in got.pairs if m1 > 0}:
+                        k = (m1 - first) % rows
+                        edges.add("first" if k == 0 else "last" if k == rows - 1 else "inner")
+                        if short and m1 - k + rows > size:
+                            edges.add("short")
+        if rows > 1:
+            assert {"first", "last", "short"} <= edges, edges
+
+    @pytest.mark.parametrize("p", [15, 16])
+    def test_planted_at_large_p(self, p, monkeypatch):
+        self.set_rows(monkeypatch, 7, DEFAULT_WINDOW)
+        size = 1 << p
+        rng = random.Random(p)
+        for m1, m2 in ((rng.randrange(1, size), rng.randrange(size)), (size - 1, 0)):
+            n1 = stream_pair(m1, m2, p)[0]
+            got = brute_force_single_gaussian(n1, p)
+            want = reference_brute_force(n1, p, DEFAULT_WINDOW)
+            assert (m1, m2) in got.pairs
+            assert (got.pairs, got.checks) == (want.pairs, want.checks), (m1, m2)
+
+
+class TestBruteForceMemory:
+    def test_bounded_by_the_block(self):
+        # Beyond its table of 2**p cosines (512 KiB at p = 16), a search holds
+        # one block's arrays, about 100 KiB at any p, and no per-row array.
+        p = 16
+        n1 = stream_pair(40000, 1234, p)[0]
+        tracemalloc.start()
+        try:
+            result = brute_force_single_gaussian(n1, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (40000, 1234) in result.pairs
+        assert peak < 8 * (1 << p) + 256 * 1024
 
 
 def branch_centres(n1, p, m1):
