@@ -52,12 +52,14 @@ print(f"feasible u1 window: {window} of {2**P} grid points "
 
 # --- brute force actually recovers the pair ---------------------------------
 
+# The first search at a precision builds its table of 2^P grid-angle
+# cosines, and later ones reuse it.  One cold timing swings by half from
+# run to run; the best of five calls that reuse the table is a stable
+# figure to extrapolate from.
 result = brute_force_single_gaussian(n1, P)
-# one cold timing swings by half from run to run; the best of five warm
-# calls of the same search is a stable figure to extrapolate from
 elapsed = min(timeit.repeat(lambda: brute_force_single_gaussian(n1, P), number=1, repeat=5))
 print(f"search examined {result.checks} u1 candidates in {elapsed * 1e3:.1f} ms "
-      "(best of 5 warm calls)")
+      "(best of 5 warm calls, cosine table already built)")
 print(f"exact preimages found: {len(result.pairs)}")
 print("planted pair recovered:", (m1, m2) in result.pairs)
 
@@ -94,7 +96,8 @@ print(f"mean brute-force checks over 100 draws at p={P}: {total / 100:.0f} "
 per_sec = result.checks / elapsed
 print()
 print(f"at this machine's {per_sec:,.0f} checks/second, one p=53 inversion "
-      f"needs ~{expected_checks(53) / per_sec / 86400 / 365.25:,.0f} years")
+      f"needs ~{expected_checks(53) / per_sec / 86400 / 365.25:,.0f} years, "
+      "not counting its 2^53-entry cosine table")
 for n in (1, 2, 4):
     print(f"  divisibility n={n}: uniforms per draw {2 * n}, "
           f"search exponent grows like p*(n-1) = {53 * (n - 1)} bits beyond the first")

@@ -18,9 +18,9 @@ inverting a single hardened Gaussian output would cost.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import lru_cache
+from itertools import chain, islice
 from typing import Callable, Iterator
 
 import numpy as np
@@ -41,14 +41,18 @@ BRUTE_FORCE_MAX_PRECISION = 20
 MAX_CHECK_EVALUATIONS = 2**16
 # A brute-force search scans up to min(2(2w+1), 2**p) angles in each of
 # its 2**p rows.  It admits p = 20 with the default window (about 1.05e7
-# points: about 0.65 s, or 60 ns a point with the table and the radii, on a
-# 2-vCPU Xeon host) and any window at p <= 13 (2**26 points in about 0.5 s,
-# 7 ns a point).  A wider window costs in proportion, up to 2**40 points
-# for a full-grid window at p = 20, so a search past the cap is rejected
-# before the cosine table is built.
+# points: about 0.50 s, or 48 ns a point, when it builds the cosine table
+# and 0.35 s, 33 ns a point, with the table built, on a 2-vCPU Xeon host)
+# and any window at p <= 13 (2**26 points in about 0.4 s, 6 ns a point).
+# A wider window costs in proportion, up to 2**40 points for a full-grid
+# window at p = 20, so a search past the cap is rejected before the
+# cosine table is built.
 MAX_SEARCH_POINTS = 2**26
-# Grid points a block of the search's numpy filter gathers: 256 rows at the
-# default window.  Its arrays take about 100 KiB beyond the cosine table.
+# Rows whose radii a block of the search's numpy filter computes, whatever
+# the window, and grid angles it gathers from the cosine table at a time:
+# 256 rows at the default window.  Their arrays take about 100 KiB beyond
+# the table.
+_BLOCK_ROWS = 256
 _BLOCK_POINTS = 2560
 
 __all__ = [
@@ -428,6 +432,23 @@ class BruteForceResult:
     checks: int
 
 
+@lru_cache(maxsize=None)
+def _cosine_table(p: int) -> np.ndarray:
+    """The cosines of all ``2**p`` grid angles at precision ``p``, then a NaN.
+
+    The array is read-only and shared by every search at ``p``.  Each
+    angle is ``(TWO_PI * 2**-p) * m2``, the same bits as
+    ``TWO_PI * ldexp(m2, -p)``: the power-of-two scale is exact, and
+    ``m2 < 2**53`` converts to float exactly.  The NaN past the last
+    angle equals nothing.
+    """
+    angle = TWO_PI * 2.0**-p
+    cosines = chain(map(math.cos, map(angle.__mul__, range(1 << p))), (math.nan,))
+    table = np.fromiter(cosines, float, (1 << p) + 1)
+    table.flags.writeable = False
+    return table
+
+
 def brute_force_single_gaussian(
     n1: float, p: int, w: int = DEFAULT_WINDOW
 ) -> BruteForceResult:
@@ -437,20 +458,23 @@ def brute_force_single_gaussian(
     analytic edge to absorb boundary rounding).  For each ``u1`` the angle
     is recovered from ``n1 / radius``; both arccos branches are rounded to
     the grid and the ``w``-neighbourhood of each is re-evaluated forward,
-    keeping pairs that reproduce ``n1`` exactly.  The radii come from one
-    map chain over the rows, and the angle cosines from a table of all
-    ``2**p`` of them (``2**p`` doubles: 8 MiB at ``p = 20``), both built
-    once per call from exact scaled integers.  A numpy filter gathers both
-    branch windows of a block of rows at a time from the table and flags
-    the rows where some angle could match; only those rows are scanned
-    exactly, one slice of the table per window.  Beyond the table, the
-    search holds one block's arrays, about 100 KiB.  On a 2-vCPU Xeon host
-    one search with the default window takes about 2 ms at ``p = 12``,
-    7 ms at ``p = 14`` and 0.65 s at ``p = 20``, against 4.3 ms, 27 ms
-    and 2.1 s for a plain loop over the rows.  Restricted to
-    ``p <= 20`` — the window size grows as ``2**(p - 1/2)`` — and to
-    searches of at most ``MAX_SEARCH_POINTS`` grid points, counted as
-    ``2**p`` rows of ``min(2 * (2w + 1), 2**p)`` angles each.
+    keeping pairs that reproduce ``n1`` exactly.  The angle cosines come
+    from a table of all ``2**p`` of them (``2**p`` doubles: 8 MiB at
+    ``p = 20``), built from exact scaled integers by the first search at
+    ``p`` and kept for every later one.  Only a search whose arguments all
+    pass the checks below builds a table, so at most 20 are ever held,
+    about 16 MiB in all.  A numpy filter computes the radii of a block of
+    rows at a time, then gathers both branch windows of the rows whose
+    radius reaches ``n1`` from the table and flags the rows where some
+    angle could match; only those rows are scanned exactly, one slice of
+    the table per window.  Beyond the table, the search holds one block's
+    arrays, about 100 KiB.  On a 2-vCPU Xeon host one search with the
+    default window takes about 1.3 ms at ``p = 12``, 4.8 ms at ``p = 14``
+    and 0.35 s at ``p = 20`` once the table is built, and 1.8 ms, 6.8 ms
+    and 0.50 s when it builds the table.  Restricted to ``p <= 20`` — the
+    window size grows as ``2**(p - 1/2)`` — and to searches of at most
+    ``MAX_SEARCH_POINTS`` grid points, counted as ``2**p`` rows of
+    ``min(2 * (2w + 1), 2**p)`` angles each.
 
     Raises:
         ValueError: if ``p`` exceeds the tractability bound, ``n1`` is not
@@ -471,70 +495,67 @@ def brute_force_single_gaussian(
                          f"{MAX_SEARCH_POINTS}")
     pairs: list[tuple[int, int]] = []
     start = max(0, size - count_feasible_checks(n1, p) - w)
-    first = max(start, 1)
+    # every argument is checked: only now may the table be built and cached
+    table = _cosine_table(p)
+    log = math.log
     acos = math.acos
     step = 2.0**-p
     fsize = float(size)
-    # The cosine of every grid angle, each computed once per call by the
-    # same expression the forward map uses.  Filled straight from the
-    # iterator: a list of the floats first would take four times the memory.
-    # (TWO_PI * 2**-p) * m2 is TWO_PI * ldexp(m2, -p): the power-of-two
-    # scale is exact, and m2 < 2**53 converts to float exactly.
-    cosines = array("d", map(math.cos, map((TWO_PI * step).__mul__, range(size))))
-    # Every row's radius _bm_radius(ldexp(m1, -p), math), m1 ascending:
-    # (size - m1) * 2**-p is 1.0 - ldexp(m1, -p), a representable difference.
-    radii = map(math.sqrt, map((-2.0).__mul__, map(math.log, map(
-        step.__mul__, range(size - first, 0, -1)))))
     # m1 = 0: the zero radius gives ±0.0 at every angle, and no other radius
     # does, because cos never vanishes exactly on the grid
     if start == 0 and n1 == 0.0:
         pairs += [(0, m2) for m2 in range(size)]
-    # The filter: each block of rows gathers both branch windows of every
-    # row from the table and flags the rows where some angle reproduces n1.
-    # Indices below the grid clip to angle 0 and those above it to a NaN
-    # appended past the last angle, which equals nothing.  Every angle of a
-    # row's exact windows is gathered, so no pair is missed, and a stray
-    # flag costs one exact scan.  Only IEEE arithmetic, indexing and
-    # rounding run in numpy; acos stays on libm.  The view shares the
-    # table's memory, and a block holds about _BLOCK_POINTS gathered angles.
-    cosines.append(math.nan)
-    table = np.frombuffer(cosines)
+    # The filter.  Each block of _BLOCK_ROWS rows computes its radii and
+    # keeps the rows whose radius reaches n1; the kept rows then gather both
+    # branch windows from the table, at most _BLOCK_POINTS angles at a time,
+    # and a row is flagged when some angle reproduces n1.  Indices below the
+    # grid clip to angle 0 and those above it to the NaN past the last
+    # angle, which equals nothing.  Every angle of a row's exact windows is
+    # gathered, so no pair is missed, and a stray flag costs one exact scan.
+    # Only IEEE arithmetic, indexing and rounding run in numpy; log and acos
+    # stay on libm.
     reach = min(w, size)  # a wider window reaches no further angle
     offsets = np.arange(-reach, reach + 1)
-    block = max(1, _BLOCK_POINTS // (2 * offsets.size))
+    gather = max(1, _BLOCK_POINTS // (2 * offsets.size))
     # n1 / r overflows to inf for a huge n1 and a small radius, as Python's
     # division does, and inf is rejected like any |t| > 1
     with np.errstate(over="ignore"):
-        for base in range(first, size, block):
-            n = min(block, size - base)
-            rs = np.fromiter(islice(radii, n), float, n)
+        for base in range(max(start, 1), size, _BLOCK_ROWS):
+            n = min(_BLOCK_ROWS, size - base)
+            # _bm_radius(ldexp(m1, -p), math) for m1 = base, base + 1, ...:
+            # (size - m1) * 2**-p is 1.0 - ldexp(m1, -p), a representable
+            # difference, and the integers, the product, -2.0 * and sqrt are
+            # exact or correctly rounded, so each radius keeps its bits
+            one_minus_u1 = np.arange(size - base, size - base - n, -1, dtype=float) * step
+            rs = np.sqrt(-2.0 * np.fromiter(map(log, one_minus_u1.tolist()), float, n))
             ts = n1 / rs
             # |fl(r cos)| <= r, so an n1 beyond the radius has no preimage here
-            rows = (np.abs(ts) <= 1.0).nonzero()[0]
-            if not rows.size:
-                continue
-            rs = rs[rows]
-            us = np.fromiter(map(acos, ts[rows].tolist()), float, rows.size) / TWO_PI
-            # acos is in [0, pi], so c1 <= size/2 <= c2; scaling by fsize = 2**p
-            # is exact, and rint rounds half to even as round does.  The c1
-            # windows of all rows, then their c2 windows.
-            centres = np.rint(np.concatenate((us, 1.0 - us)) * fsize).astype(np.intp)
-            cos = table.take(centres[:, None] + offsets, mode="clip")
-            hit = (rs[:, None] * cos.reshape(2, rows.size, -1) == n1).any(axis=(0, 2))
-            # The exact scan of each flagged row, the one rule that builds pairs:
-            # the window around c1, then the rest of the one around c2.  A second
-            # window that touches or overlaps the first starts where it ends, so
-            # each angle is visited once, in ascending order.  The zip with the
-            # grid's numerators clips both windows to the grid, before the NaN.
-            for m1, r in zip((rows[hit] + base).tolist(), rs[hit].tolist()):
-                u = acos(n1 / r) / TWO_PI
-                c1 = round(u * fsize)
-                c2 = round((1.0 - u) * fsize)
-                lo = c1 - w if c1 > w else 0
-                mid = c1 + w + 1
-                row = zip(range(lo, size), cosines[lo:mid])
-                pairs += [(m1, m2) for m2, x in row if r * x == n1]
-                lo = c2 - w if c2 - w > mid else mid
-                row = zip(range(lo, size), cosines[lo:c2 + w + 1])
-                pairs += [(m1, m2) for m2, x in row if r * x == n1]
+            kept = (np.abs(ts) <= 1.0).nonzero()[0]
+            for at in range(0, kept.size, gather):
+                rows = kept[at:at + gather]
+                radii = rs[rows]
+                us = np.fromiter(map(acos, ts[rows].tolist()), float, rows.size) / TWO_PI
+                # acos is in [0, pi], so c1 <= size/2 <= c2; scaling by fsize = 2**p
+                # is exact, and rint rounds half to even as round does.  The c1
+                # windows of all rows, then their c2 windows.
+                centres = np.rint(np.concatenate((us, 1.0 - us)) * fsize).astype(np.intp)
+                cos = table.take(centres[:, None] + offsets, mode="clip")
+                hit = (radii[:, None] * cos.reshape(2, rows.size, -1) == n1).any(axis=(0, 2))
+                # The exact scan of each flagged row, the one rule that builds
+                # pairs: the window around c1, then the rest of the one around
+                # c2.  A second window that touches or overlaps the first starts
+                # where it ends, so each angle is visited once, in ascending
+                # order.  The zip with the grid's numerators clips both windows
+                # to the grid, before the NaN.
+                for m1, r in zip((rows[hit] + base).tolist(), radii[hit].tolist()):
+                    u = acos(n1 / r) / TWO_PI
+                    c1 = round(u * fsize)
+                    c2 = round((1.0 - u) * fsize)
+                    lo = c1 - w if c1 > w else 0
+                    mid = c1 + w + 1
+                    row = zip(range(lo, size), table[lo:mid].tolist())
+                    pairs += [(m1, m2) for m2, x in row if r * x == n1]
+                    lo = c2 - w if c2 - w > mid else mid
+                    row = zip(range(lo, size), table[lo:c2 + w + 1].tolist())
+                    pairs += [(m1, m2) for m2, x in row if r * x == n1]
     return BruteForceResult(pairs, size - start)

@@ -906,20 +906,37 @@ class TestBruteForceMatchesReference:
 class TestBruteForceBlocks:
     """The block edges of the search's numpy filter, against the reference.
 
-    ``_BLOCK_POINTS`` counts the angles a block gathers, ``2(2w + 1)`` per
-    row.  Each case sets it to hold ``rows`` rows at its window; for one
-    row it is set to one point, less than a row, which still takes a row
-    per block.
+    The filter has two kinds of block.  A row block holds ``_BLOCK_ROWS``
+    rows, whose radii it computes.  A gather holds the rows of one row
+    block whose radius reaches ``n1``, up to ``_BLOCK_POINTS`` angles of
+    them, ``2(2w + 1)`` per row.  Each case sets a row block to ``rows``
+    rows and a gather to ``gathered`` rows at its window; for one gathered
+    row it sets one point, less than a row, which still takes a row per
+    gather.
     """
 
     @staticmethod
-    def set_rows(monkeypatch, rows, w):
-        points = 1 if rows == 1 else rows * 2 * (2 * w + 1)
+    def set_blocks(monkeypatch, rows, gathered, w):
+        monkeypatch.setattr(attack, "_BLOCK_ROWS", rows)
+        points = 1 if gathered == 1 else gathered * 2 * (2 * w + 1)
         monkeypatch.setattr(attack, "_BLOCK_POINTS", points)
 
-    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
-    def test_matches_reference(self, rows, monkeypatch):
-        edges = set()  # where in its block each pair's row fell
+    @staticmethod
+    def edges(k, length, block):
+        """Where item ``k`` of ``length`` items falls in its block of ``block``."""
+        at = k % block
+        where = {"first" if at == 0 else "last" if at == block - 1 else "inner"}
+        return where | {"short"} if k - at + block > length else where
+
+    # A gather never spans two row blocks, so one wider than its row block
+    # acts as one of the row block's size.  1024 rows put the whole grid in
+    # one row block up to p = 10; with fewer, a row block's end also cuts
+    # its last gather short.
+    @pytest.mark.parametrize("rows,gathered", [
+        (1, 1), (2, 2), (3, 2), (3, 3), (7, 2), (7, 3), (7, 7),
+        (1024, 1), (1024, 2), (1024, 3), (1024, 7)])
+    def test_matches_reference(self, rows, gathered, monkeypatch):
+        row_edges, gather_edges = set(), set()  # where each pair's row fell
         for p in range(6, 11):
             size = 1 << p
             rng = random.Random(p)
@@ -927,24 +944,28 @@ class TestBruteForceBlocks:
             last_row = stream_pair(size - 1, rng.randrange(size), p)[0]
             targets = brute_force_targets(p, rng) + [last_row]
             for w in (0, 2):
-                self.set_rows(monkeypatch, rows, w)
+                self.set_blocks(monkeypatch, rows, gathered, w)
                 for n1 in targets:
                     got = brute_force_single_gaussian(n1, p, w)
                     want = reference_brute_force(n1, p, w)
                     assert (got.pairs, got.checks) == (want.pairs, want.checks), (n1, p, w)
                     first = max(1, size - got.checks)  # the first block's first row
-                    short = (size - first) % rows != 0
                     for m1 in {m1 for m1, _ in got.pairs if m1 > 0}:
-                        k = (m1 - first) % rows
-                        edges.add("first" if k == 0 else "last" if k == rows - 1 else "inner")
-                        if short and m1 - k + rows > size:
-                            edges.add("short")
-        if rows > 1:
-            assert {"first", "last", "short"} <= edges, edges
+                        row_edges |= self.edges(m1 - first, size - first, rows)
+                        base = m1 - (m1 - first) % rows
+                        kept = [m for m in range(base, min(base + rows, size))
+                                if abs(n1 / _bm_radius(math.ldexp(m, -p), math)) <= 1.0]
+                        gather_edges |= self.edges(kept.index(m1), len(kept), gathered)
+        for block, seen in ((rows, row_edges), (gathered, gather_edges)):
+            want = {"first"} if block == 1 else {"first", "last", "short"}
+            if block > 2:
+                want.add("inner")
+            if block < 1024:
+                assert want <= seen, (block, seen)
 
     @pytest.mark.parametrize("p", [15, 16])
     def test_planted_at_large_p(self, p, monkeypatch):
-        self.set_rows(monkeypatch, 7, DEFAULT_WINDOW)
+        self.set_blocks(monkeypatch, 7, 3, DEFAULT_WINDOW)
         size = 1 << p
         rng = random.Random(p)
         for m1, m2 in ((rng.randrange(1, size), rng.randrange(size)), (size - 1, 0)):
@@ -956,19 +977,100 @@ class TestBruteForceBlocks:
 
 
 class TestBruteForceMemory:
-    def test_bounded_by_the_block(self):
-        # Beyond its table of 2**p cosines (512 KiB at p = 16), a search holds
-        # one block's arrays, about 100 KiB at any p, and no per-row array.
-        p = 16
-        n1 = stream_pair(40000, 1234, p)[0]
+    P = 16
+    M1, M2 = 40000, 1234
+
+    def search_peak(self):
+        n1 = stream_pair(self.M1, self.M2, self.P)[0]
         tracemalloc.start()
         try:
-            result = brute_force_single_gaussian(n1, p)
+            result = brute_force_single_gaussian(n1, self.P)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (40000, 1234) in result.pairs
-        assert peak < 8 * (1 << p) + 256 * 1024
+        assert (self.M1, self.M2) in result.pairs
+        return peak
+
+    def test_bounded_by_the_block(self):
+        # Beyond its table of 2**p cosines (512 KiB at p = 16), a search that
+        # builds the table holds one block's arrays, about 100 KiB at any p,
+        # and no per-row array.
+        attack._cosine_table.cache_clear()
+        assert self.search_peak() < 8 * (1 << self.P) + 256 * 1024
+
+    def test_second_search_builds_no_table(self):
+        # the second search at p reuses the first one's table
+        self.search_peak()
+        assert self.search_peak() < 256 * 1024
+
+
+class TestCosineTable:
+    """The search's cosine table, built once per precision and never written."""
+
+    def test_alternating_precisions_match_reference(self):
+        attack._cosine_table.cache_clear()
+        rng = random.Random(1214)
+        for p in (12, 14, 12, 14):
+            size = 1 << p
+            m1, m2 = rng.randrange(size // 2, size), rng.randrange(size)
+            n1 = stream_pair(m1, m2, p)[0]
+            got = brute_force_single_gaussian(n1, p)
+            want = reference_brute_force(n1, p, DEFAULT_WINDOW)
+            assert (m1, m2) in got.pairs
+            assert (got.pairs, got.checks) == (want.pairs, want.checks), p
+        assert attack._cosine_table.cache_info().misses == 2
+
+    def test_rejected_search_builds_no_table(self):
+        attack._cosine_table.cache_clear()
+        for n1, p, w in ((1.0, BRUTE_FORCE_MAX_PRECISION + 1, DEFAULT_WINDOW),
+                         (1.0, 14, 1024), (1.0, 8, -1), (math.nan, 8, DEFAULT_WINDOW),
+                         (math.inf, 8, DEFAULT_WINDOW)):
+            with pytest.raises(ValueError):
+                brute_force_single_gaussian(n1, p, w)
+        info = attack._cosine_table.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+    def test_search_leaves_the_table_unchanged(self):
+        p = 12
+        table = attack._cosine_table(p)
+        before = table.tobytes()
+        assert (2500, 600) in brute_force_single_gaussian(stream_pair(2500, 600, p)[0], p).pairs
+        assert attack._cosine_table(p) is table
+        assert table.tobytes() == before
+        assert not table.flags.writeable
+        assert table.size == (1 << p) + 1 and math.isnan(table[-1])
+
+
+class TestBruteForceAngleWindow:
+    """The filter gathers all of both branch windows, ``c - w`` to ``c + w``.
+
+    No planted output tried so far has a pair off its row's rounded branch
+    centre, so the outputs alone leave the window's width untested.  Each
+    case plants a matching cosine in a copy of the table instead, ``offset``
+    steps from a branch centre of one row, and checks that the search finds
+    it exactly when it lies in the window.
+    """
+
+    P, M1, C = 10, 700, 100
+
+    @pytest.mark.parametrize("offset", range(-3, 4))
+    @pytest.mark.parametrize("branch", [0, 1])
+    def test_pair_anywhere_in_the_window(self, branch, offset, monkeypatch):
+        p, m1, w = self.P, self.M1, DEFAULT_WINDOW
+        size = 1 << p
+        # a third of a step past angle C, so no grid angle reproduces n1 at m1
+        x = math.cos(TWO_PI * math.ldexp(3 * self.C + 1, -p) / 3)
+        n1 = _bm_radius(math.ldexp(m1, -p), math) * x
+        centres = branch_centres(n1, p, m1)
+        assert centres == (self.C, size - self.C)
+        m2 = centres[branch] + offset
+        plain = brute_force_single_gaussian(n1, p, w).pairs
+        assert all(b != m2 for _, b in plain)
+        table = attack._cosine_table(p).copy()
+        table[m2] = x
+        monkeypatch.setattr(attack, "_cosine_table", lambda _: table)
+        got = brute_force_single_gaussian(n1, p, w).pairs
+        assert got == (sorted(plain + [(m1, m2)]) if abs(offset) <= w else plain)
 
 
 def branch_centres(n1, p, m1):
@@ -1070,6 +1172,10 @@ class TestExactScaledIntegers:
         for m in ms:
             assert (TWO_PI * step) * m == TWO_PI * math.ldexp(m, -p)
             assert (size - m) * step == 1.0 - math.ldexp(m, -p)
+        # the radii of a block of rows, as the search computes them in numpy
+        one_minus_u1 = np.array([size - m for m in ms], dtype=float) * step
+        radii = np.sqrt(-2.0 * np.array([math.log(x) for x in one_minus_u1.tolist()]))
+        assert radii.tolist() == [_bm_radius(math.ldexp(m, -p), math) for m in ms]
 
 
 class TestSearchCap:
