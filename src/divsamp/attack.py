@@ -41,17 +41,18 @@ BRUTE_FORCE_MAX_PRECISION = 20
 MAX_CHECK_EVALUATIONS = 2**16
 # A brute-force search scans up to min(2(2w+1), 2**p) angles in each of
 # its 2**p rows.  It admits p = 20 with the default window (about 1.05e7
-# points: about 0.50 s, or 48 ns a point, when it builds the cosine table
-# and 0.35 s, 33 ns a point, with the table built, on a 2-vCPU Xeon host)
-# and any window at p <= 13 (2**26 points in about 0.4 s, 6 ns a point).
-# A wider window costs in proportion, up to 2**40 points for a full-grid
-# window at p = 20, so a search past the cap is rejected before the
-# cosine table is built.
+# points: about 0.47 s, or 45 ns a point, when it builds its cosine and
+# radius tables, and 0.16 s, 15 ns a point, with the tables built, on a
+# 2-vCPU Xeon host) and any window at p <= 13 (2**26 points in about
+# 0.2 s, 3 ns a point).  A wider window costs in proportion, up to 2**40
+# points for a full-grid window at p = 20, so a search past the cap is
+# rejected before either table is built.
 MAX_SEARCH_POINTS = 2**26
-# Rows whose radii a block of the search's numpy filter computes, whatever
-# the window, and grid angles it gathers from the cosine table at a time:
-# 256 rows at the default window.  Their arrays take about 100 KiB beyond
-# the table.
+# Rows whose radii a block of the search's numpy filter takes from the
+# radius table, whatever the window, and grid angles it gathers from the
+# cosine table at a time: 182 rows at the default window, where a row
+# gathers w + 1 angles either side of both branch centres.  Their arrays
+# take about 100 KiB beyond the tables.
 _BLOCK_ROWS = 256
 _BLOCK_POINTS = 2560
 
@@ -449,6 +450,24 @@ def _cosine_table(p: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)
+def _radius_table(p: int) -> np.ndarray:
+    """The Box-Muller radii of all ``2**p`` grid rows at precision ``p``.
+
+    Entry ``m1`` has the bits of ``_bm_radius(ldexp(m1, -p), math)``:
+    ``(2**p - m1) * 2**-p`` is ``1.0 - ldexp(m1, -p)`` exactly, ``log``
+    runs on libm (numpy's own differs from it on some arguments), and
+    ``-2.0 *`` and ``sqrt`` are exact or correctly rounded.  The array
+    is read-only and shared by every search at ``p``.
+    """
+    ones_minus_u1 = map((2.0**-p).__mul__, range(1 << p, 0, -1))
+    table = np.fromiter(map(math.log, ones_minus_u1), float, 1 << p)
+    np.multiply(table, -2.0, out=table)
+    np.sqrt(table, out=table)
+    table.flags.writeable = False
+    return table
+
+
 def brute_force_single_gaussian(
     n1: float, p: int, w: int = DEFAULT_WINDOW
 ) -> BruteForceResult:
@@ -458,21 +477,23 @@ def brute_force_single_gaussian(
     analytic edge to absorb boundary rounding).  For each ``u1`` the angle
     is recovered from ``n1 / radius``; both arccos branches are rounded to
     the grid and the ``w``-neighbourhood of each is re-evaluated forward,
-    keeping pairs that reproduce ``n1`` exactly.  The angle cosines come
-    from a table of all ``2**p`` of them (``2**p`` doubles: 8 MiB at
-    ``p = 20``), built from exact scaled integers by the first search at
-    ``p`` and kept for every later one.  Only a search whose arguments all
-    pass the checks below builds a table, so at most 20 are ever held,
-    about 16 MiB in all.  A numpy filter computes the radii of a block of
-    rows at a time, then gathers both branch windows of the rows whose
-    radius reaches ``n1`` from the table and flags the rows where some
-    angle could match; only those rows are scanned exactly, one slice of
-    the table per window.  Beyond the table, the search holds one block's
-    arrays, about 100 KiB.  On a 2-vCPU Xeon host one search with the
-    default window takes about 1.3 ms at ``p = 12``, 4.8 ms at ``p = 14``
-    and 0.35 s at ``p = 20`` once the table is built, and 1.8 ms, 6.8 ms
-    and 0.50 s when it builds the table.  Restricted to ``p <= 20`` — the
-    window size grows as ``2**(p - 1/2)`` — and to searches of at most
+    keeping pairs that reproduce ``n1`` exactly.  The angle cosines and
+    the row radii come from two tables of all ``2**p`` of each (``2**p``
+    doubles apiece: 8 MiB at ``p = 20``), built from exact scaled integers
+    by the first search at ``p`` and kept for every later one.  Only a
+    search whose arguments all pass the checks below builds them, so at
+    most 20 pairs of tables are ever held, about 32 MiB in all.  A numpy
+    filter takes the radii of a block of rows at a time, then gathers both
+    branch windows of the rows whose radius reaches ``n1`` from the cosine
+    table, one step wider around centres placed by numpy's ``arccos``, and
+    flags the rows where some angle could match; only those rows
+    are scanned exactly, one slice of the table per window.  Beyond the
+    tables, the search holds one block's arrays, about 100 KiB.  On a
+    2-vCPU Xeon host one search with the default window takes about
+    0.65 ms at ``p = 12``, 2.4 ms at ``p = 14`` and 0.16 s at ``p = 20``
+    once the tables are built, and 1.9 ms, 7.2 ms and 0.47 s when it
+    builds them.  Restricted to ``p <= 20`` — the window size grows as
+    ``2**(p - 1/2)`` — and to searches of at most
     ``MAX_SEARCH_POINTS`` grid points, counted as ``2**p`` rows of
     ``min(2 * (2w + 1), 2**p)`` angles each.
 
@@ -495,47 +516,43 @@ def brute_force_single_gaussian(
                          f"{MAX_SEARCH_POINTS}")
     pairs: list[tuple[int, int]] = []
     start = max(0, size - count_feasible_checks(n1, p) - w)
-    # every argument is checked: only now may the table be built and cached
+    # every argument is checked: only now may the tables be built and cached
     table = _cosine_table(p)
-    log = math.log
+    radius_table = _radius_table(p)
     acos = math.acos
-    step = 2.0**-p
     fsize = float(size)
     # m1 = 0: the zero radius gives ±0.0 at every angle, and no other radius
     # does, because cos never vanishes exactly on the grid
     if start == 0 and n1 == 0.0:
         pairs += [(0, m2) for m2 in range(size)]
-    # The filter.  Each block of _BLOCK_ROWS rows computes its radii and
-    # keeps the rows whose radius reaches n1; the kept rows then gather both
-    # branch windows from the table, at most _BLOCK_POINTS angles at a time,
-    # and a row is flagged when some angle reproduces n1.  Indices below the
-    # grid clip to angle 0 and those above it to the NaN past the last
-    # angle, which equals nothing.  Every angle of a row's exact windows is
-    # gathered, so no pair is missed, and a stray flag costs one exact scan.
-    # Only IEEE arithmetic, indexing and rounding run in numpy; log and acos
-    # stay on libm.
-    reach = min(w, size)  # a wider window reaches no further angle
+    # The filter.  Each block of _BLOCK_ROWS rows takes its radii from the
+    # radius table and keeps the rows whose radius reaches n1; the kept rows
+    # then gather both branch windows from the cosine table, at most
+    # _BLOCK_POINTS angles at a time, and a row is flagged when some angle
+    # reproduces n1.  Indices below the grid clip to angle 0 and those above
+    # it to the NaN past the last angle, which equals nothing.  The branch
+    # centres come from numpy's arccos, within far less than a grid step of
+    # libm's acos, so they round at most one step from the exact scan's;
+    # gathering w + 1 steps either side still reads every angle of a row's
+    # exact windows, so no pair is missed, and a stray flag costs one exact
+    # scan.  Only IEEE arithmetic, indexing, rounding and those centres run
+    # in numpy; log and the exact scan's acos stay on libm.
+    reach = min(w + 1, size)  # a wider window reaches no further angle
     offsets = np.arange(-reach, reach + 1)
     gather = max(1, _BLOCK_POINTS // (2 * offsets.size))
     # n1 / r overflows to inf for a huge n1 and a small radius, as Python's
     # division does, and inf is rejected like any |t| > 1
     with np.errstate(over="ignore"):
         for base in range(max(start, 1), size, _BLOCK_ROWS):
-            n = min(_BLOCK_ROWS, size - base)
-            # _bm_radius(ldexp(m1, -p), math) for m1 = base, base + 1, ...:
-            # (size - m1) * 2**-p is 1.0 - ldexp(m1, -p), a representable
-            # difference, and the integers, the product, -2.0 * and sqrt are
-            # exact or correctly rounded, so each radius keeps its bits
-            one_minus_u1 = np.arange(size - base, size - base - n, -1, dtype=float) * step
-            rs = np.sqrt(-2.0 * np.fromiter(map(log, one_minus_u1.tolist()), float, n))
+            rs = radius_table[base:base + _BLOCK_ROWS]
             ts = n1 / rs
             # |fl(r cos)| <= r, so an n1 beyond the radius has no preimage here
             kept = (np.abs(ts) <= 1.0).nonzero()[0]
             for at in range(0, kept.size, gather):
                 rows = kept[at:at + gather]
                 radii = rs[rows]
-                us = np.fromiter(map(acos, ts[rows].tolist()), float, rows.size) / TWO_PI
-                # acos is in [0, pi], so c1 <= size/2 <= c2; scaling by fsize = 2**p
+                us = np.arccos(ts[rows]) / TWO_PI
+                # arccos is in [0, pi], so c1 <= size/2 <= c2; scaling by fsize = 2**p
                 # is exact, and rint rounds half to even as round does.  The c1
                 # windows of all rows, then their c2 windows.
                 centres = np.rint(np.concatenate((us, 1.0 - us)) * fsize).astype(np.intp)

@@ -907,18 +907,18 @@ class TestBruteForceBlocks:
     """The block edges of the search's numpy filter, against the reference.
 
     The filter has two kinds of block.  A row block holds ``_BLOCK_ROWS``
-    rows, whose radii it computes.  A gather holds the rows of one row
+    rows, whose radii it takes from the radius table.  A gather holds the rows of one row
     block whose radius reaches ``n1``, up to ``_BLOCK_POINTS`` angles of
-    them, ``2(2w + 1)`` per row.  Each case sets a row block to ``rows``
-    rows and a gather to ``gathered`` rows at its window; for one gathered
-    row it sets one point, less than a row, which still takes a row per
-    gather.
+    them, ``2(2w + 3)`` per row: ``w + 1`` steps either side of both
+    branch centres.  Each case sets a row block to ``rows`` rows and a
+    gather to ``gathered`` rows at its window; for one gathered row it sets
+    one point, less than a row, which still takes a row per gather.
     """
 
     @staticmethod
     def set_blocks(monkeypatch, rows, gathered, w):
         monkeypatch.setattr(attack, "_BLOCK_ROWS", rows)
-        points = 1 if gathered == 1 else gathered * 2 * (2 * w + 1)
+        points = 1 if gathered == 1 else gathered * 2 * (2 * w + 3)
         monkeypatch.setattr(attack, "_BLOCK_POINTS", points)
 
     @staticmethod
@@ -992,23 +992,30 @@ class TestBruteForceMemory:
         return peak
 
     def test_bounded_by_the_block(self):
-        # Beyond its table of 2**p cosines (512 KiB at p = 16), a search that
-        # builds the table holds one block's arrays, about 100 KiB at any p,
-        # and no per-row array.
+        # Beyond its tables of 2**p cosines and 2**p radii (512 KiB each at
+        # p = 16), a search that builds them holds one block's arrays, about
+        # 100 KiB at any p, and no other per-row array.
         attack._cosine_table.cache_clear()
-        assert self.search_peak() < 8 * (1 << self.P) + 256 * 1024
+        attack._radius_table.cache_clear()
+        assert self.search_peak() < 2 * 8 * (1 << self.P) + 256 * 1024
 
     def test_second_search_builds_no_table(self):
-        # the second search at p reuses the first one's table
+        # the second search at p reuses the first one's tables
         self.search_peak()
         assert self.search_peak() < 256 * 1024
 
 
-class TestCosineTable:
-    """The search's cosine table, built once per precision and never written."""
+class TestSearchTables:
+    """The search's cosine and radius tables, built once per precision and never written."""
+
+    TABLES = (attack._cosine_table, attack._radius_table)
+
+    def clear(self):
+        for table in self.TABLES:
+            table.cache_clear()
 
     def test_alternating_precisions_match_reference(self):
-        attack._cosine_table.cache_clear()
+        self.clear()
         rng = random.Random(1214)
         for p in (12, 14, 12, 14):
             size = 1 << p
@@ -1018,27 +1025,43 @@ class TestCosineTable:
             want = reference_brute_force(n1, p, DEFAULT_WINDOW)
             assert (m1, m2) in got.pairs
             assert (got.pairs, got.checks) == (want.pairs, want.checks), p
-        assert attack._cosine_table.cache_info().misses == 2
+        assert [table.cache_info().misses for table in self.TABLES] == [2, 2]
 
     def test_rejected_search_builds_no_table(self):
-        attack._cosine_table.cache_clear()
+        self.clear()
         for n1, p, w in ((1.0, BRUTE_FORCE_MAX_PRECISION + 1, DEFAULT_WINDOW),
                          (1.0, 14, 1024), (1.0, 8, -1), (math.nan, 8, DEFAULT_WINDOW),
-                         (math.inf, 8, DEFAULT_WINDOW)):
+                         (math.inf, 8, DEFAULT_WINDOW), (-math.inf, 8, DEFAULT_WINDOW)):
             with pytest.raises(ValueError):
                 brute_force_single_gaussian(n1, p, w)
-        info = attack._cosine_table.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        for table in self.TABLES:
+            info = table.cache_info()
+            assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
-    def test_search_leaves_the_table_unchanged(self):
+    def test_search_leaves_the_tables_unchanged(self):
         p = 12
-        table = attack._cosine_table(p)
-        before = table.tobytes()
+        tables = [make(p) for make in self.TABLES]
+        before = [table.tobytes() for table in tables]
         assert (2500, 600) in brute_force_single_gaussian(stream_pair(2500, 600, p)[0], p).pairs
-        assert attack._cosine_table(p) is table
-        assert table.tobytes() == before
-        assert not table.flags.writeable
-        assert table.size == (1 << p) + 1 and math.isnan(table[-1])
+        for make, table, bits in zip(self.TABLES, tables, before):
+            assert make(p) is table
+            assert table.tobytes() == bits
+            assert not table.flags.writeable
+        cosines, radii = tables
+        assert cosines.size == (1 << p) + 1 and math.isnan(cosines[-1])
+        assert radii.size == 1 << p
+
+    @pytest.mark.parametrize("p", range(1, BRUTE_FORCE_MAX_PRECISION + 1))
+    def test_radii_are_the_forward_maps(self, p):
+        # every row m1 >= 1 up to p = 14, and 2,000 sampled ones (and the
+        # edges) above; row 0 is never read, as the zero radius is handled
+        # apart
+        size = 1 << p
+        ms = (range(1, size) if p <= 14
+              else [1, size >> 1, size - 1, *random.Random(p).sample(range(1, size), 2000)])
+        radii = attack._radius_table(p)
+        assert radii[list(ms)].tolist() == [_bm_radius(math.ldexp(m, -p), math) for m in ms]
+        assert not radii.flags.writeable
 
 
 class TestBruteForceAngleWindow:
@@ -1071,6 +1094,45 @@ class TestBruteForceAngleWindow:
         monkeypatch.setattr(attack, "_cosine_table", lambda _: table)
         got = brute_force_single_gaussian(n1, p, w).pairs
         assert got == (sorted(plain + [(m1, m2)]) if abs(offset) <= w else plain)
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    @pytest.mark.parametrize("offset", [-DEFAULT_WINDOW, DEFAULT_WINDOW])
+    @pytest.mark.parametrize("branch", [0, 1])
+    def test_centres_a_step_off(self, branch, offset, shift, monkeypatch):
+        # The filter places its branch centres with numpy's arccos, the
+        # exact scan with libm's acos.  An arccos off by just under one grid
+        # step moves each rounded centre by one step here (u * 2**p is a
+        # third of a step past C), yet the filter must still read the edges
+        # of the exact windows.
+        p, m1, w = self.P, self.M1, DEFAULT_WINDOW
+        x = math.cos(TWO_PI * math.ldexp(3 * self.C + 1, -p) / 3)
+        n1 = _bm_radius(math.ldexp(m1, -p), math) * x
+        m2 = branch_centres(n1, p, m1)[branch] + offset
+        plain = brute_force_single_gaussian(n1, p, w).pairs
+        table = attack._cosine_table(p).copy()
+        table[m2] = x
+        monkeypatch.setattr(attack, "_cosine_table", lambda _: table)
+        arccos = np.arccos
+        moved = shift * 0.999 * TWO_PI * math.ldexp(1.0, -p)
+        monkeypatch.setattr(attack.np, "arccos", lambda t: arccos(t) + moved)
+        got = brute_force_single_gaussian(n1, p, w).pairs
+        assert got == sorted(plain + [(m1, m2)])
+
+
+def test_numpy_arccos_is_near_libm():
+    # The filter's branch centres stay within one grid step of the exact
+    # scan's while |np.arccos(t) - math.acos(t)| * 2**p / (2 pi) < 1, that
+    # is, to within about 6e-6 at p = 20.  Measured, they differ by at most
+    # an ulp; 2**-40 leaves wide room on any numpy and libm.
+    edges = [1.0, 1.0 - 2.0**-53, 0.0, 5e-324, 2.0**-1022, 1e-300, 2.0**-26]
+    ts = np.concatenate((
+        edges, np.negative(edges), np.linspace(-1.0, 1.0, 200_001),
+        np.random.default_rng(2718).uniform(-1.0, 1.0, 200_000),
+        1.0 - np.ldexp(1.0, np.arange(-53, 0)), np.ldexp(1.0, np.arange(-1074, 0)),
+    ))
+    got = np.arccos(ts)
+    want = np.fromiter(map(math.acos, ts.tolist()), float, ts.size)
+    assert np.abs(got - want).max() <= 2.0**-40
 
 
 def branch_centres(n1, p, m1):
@@ -1172,10 +1234,6 @@ class TestExactScaledIntegers:
         for m in ms:
             assert (TWO_PI * step) * m == TWO_PI * math.ldexp(m, -p)
             assert (size - m) * step == 1.0 - math.ldexp(m, -p)
-        # the radii of a block of rows, as the search computes them in numpy
-        one_minus_u1 = np.array([size - m for m in ms], dtype=float) * step
-        radii = np.sqrt(-2.0 * np.array([math.log(x) for x in one_minus_u1.tolist()]))
-        assert radii.tolist() == [_bm_radius(math.ldexp(m, -p), math) for m in ms]
 
 
 class TestSearchCap:
