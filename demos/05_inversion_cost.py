@@ -52,14 +52,14 @@ print(f"feasible u1 window: {window} of {2**P} grid points "
 
 # --- brute force actually recovers the pair ---------------------------------
 
-# The first search at a precision builds its tables of 2^P grid-angle
-# cosines and 2^P row radii, and later ones reuse them.  One cold timing
-# swings by half from run to run; the best of five calls that reuse the
-# tables is a stable figure to extrapolate from.
+# The first search at a precision builds its one pair of tables, the 2^P
+# row radii and the 2^P grid-angle cosines, and later ones reuse it.  One
+# cold timing swings by half from run to run; the best of five calls that
+# reuse the tables is a stable figure to extrapolate from.
 result = brute_force_single_gaussian(n1, P)
 elapsed = min(timeit.repeat(lambda: brute_force_single_gaussian(n1, P), number=1, repeat=5))
 print(f"search examined {result.checks} u1 candidates in {elapsed * 1e3:.1f} ms "
-      "(best of 5 warm calls, cosine and radius tables already built)")
+      "(best of 5 warm calls, radius and cosine tables already built)")
 print(f"exact preimages found: {len(result.pairs)}")
 print("planted pair recovered:", (m1, m2) in result.pairs)
 
@@ -97,7 +97,7 @@ per_sec = result.checks / elapsed
 print()
 print(f"at this machine's {per_sec:,.0f} checks/second, one p=53 inversion "
       f"needs ~{expected_checks(53) / per_sec / 86400 / 365.25:,.0f} years, "
-      "not counting its 2^53-entry cosine and radius tables")
+      "not counting its 2^53-entry radius and cosine tables")
 for n in (1, 2, 4):
     print(f"  divisibility n={n}: uniforms per draw {2 * n}, "
           f"search exponent grows like p*(n-1) = {53 * (n - 1)} bits beyond the first")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import islice
 from typing import Callable, Iterator
 
 import numpy as np
@@ -41,19 +41,17 @@ BRUTE_FORCE_MAX_PRECISION = 20
 MAX_CHECK_EVALUATIONS = 2**16
 # A brute-force search scans up to min(2(2w+1), 2**p) angles in each of
 # its 2**p rows.  It admits p = 20 with the default window (about 1.05e7
-# points: about 0.47 s, or 45 ns a point, when it builds its cosine and
-# radius tables, and 0.16 s, 15 ns a point, with the tables built, on a
+# points: about 0.45 s, or 43 ns a point, when it builds its radius and
+# cosine tables, and 0.14 s, 13 ns a point, with the tables built, on a
 # 2-vCPU Xeon host) and any window at p <= 13 (2**26 points in about
 # 0.2 s, 3 ns a point).  A wider window costs in proportion, up to 2**40
 # points for a full-grid window at p = 20, so a search past the cap is
 # rejected before either table is built.
 MAX_SEARCH_POINTS = 2**26
-# Rows whose radii a block of the search's numpy filter takes from the
-# radius table, whatever the window, and grid angles it gathers from the
-# cosine table at a time: 182 rows at the default window, where a row
-# gathers w + 1 angles either side of both branch centres.  Their arrays
-# take about 100 KiB beyond the tables.
-_BLOCK_ROWS = 256
+# Grid angles one block of the search's numpy filter gathers from the
+# cosine table: w + 1 either side of both branch centres of each of its
+# rows, so 182 rows at the default window and one row for a full-grid
+# window.  A block's arrays take about 100 KiB beyond the tables.
 _BLOCK_POINTS = 2560
 
 __all__ = [
@@ -82,10 +80,11 @@ class PhaseAlignmentError(RuntimeError):
 class QueryOracle:
     """Query access to a hidden target value plus fresh sampled noise.
 
-    Each call to :meth:`query` returns ``target + noise()`` and bumps
-    ``call_count``.  ``stream`` optionally exposes the Gaussian stream
-    backing the noise, for attacks that reason about cache phase; leave it
-    ``None`` when outputs carry no cross-query state.
+    Each call to :meth:`query` returns ``target + noise()``; an attack
+    counts its own queries, in ``AttackOutcome.queries_used``.  ``stream``
+    optionally exposes the Gaussian stream backing the noise, for attacks
+    that reason about cache phase; leave it ``None`` when outputs carry no
+    cross-query state.
     """
 
     def __init__(
@@ -97,10 +96,8 @@ class QueryOracle:
         self.target = target
         self._noise = noise
         self.stream = stream
-        self.call_count = 0
 
     def query(self) -> float:
-        self.call_count += 1
         return self.target + self._noise()
 
 
@@ -434,38 +431,28 @@ class BruteForceResult:
 
 
 @lru_cache(maxsize=None)
-def _cosine_table(p: int) -> np.ndarray:
-    """The cosines of all ``2**p`` grid angles at precision ``p``, then a NaN.
+def _search_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The radii of all ``2**p`` grid rows and the cosines of all ``2**p`` grid angles.
 
-    The array is read-only and shared by every search at ``p``.  Each
-    angle is ``(TWO_PI * 2**-p) * m2``, the same bits as
-    ``TWO_PI * ldexp(m2, -p)``: the power-of-two scale is exact, and
-    ``m2 < 2**53`` converts to float exactly.  The NaN past the last
-    angle equals nothing.
-    """
-    angle = TWO_PI * 2.0**-p
-    cosines = chain(map(math.cos, map(angle.__mul__, range(1 << p))), (math.nan,))
-    table = np.fromiter(cosines, float, (1 << p) + 1)
-    table.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=None)
-def _radius_table(p: int) -> np.ndarray:
-    """The Box-Muller radii of all ``2**p`` grid rows at precision ``p``.
-
-    Entry ``m1`` has the bits of ``_bm_radius(ldexp(m1, -p), math)``:
+    Both arrays are read-only and shared by every search at ``p``.  Row
+    ``m1``'s radius has the bits of ``_bm_radius(ldexp(m1, -p), math)``:
     ``(2**p - m1) * 2**-p`` is ``1.0 - ldexp(m1, -p)`` exactly, ``log``
     runs on libm (numpy's own differs from it on some arguments), and
-    ``-2.0 *`` and ``sqrt`` are exact or correctly rounded.  The array
-    is read-only and shared by every search at ``p``.
+    ``-2.0 *`` and ``sqrt`` are exact or correctly rounded.  The radii
+    rise with ``m1``, from the zero radius of row 0.  Angle ``m2`` is
+    ``(TWO_PI * 2**-p) * m2``, the same bits as ``TWO_PI * ldexp(m2, -p)``:
+    the power-of-two scale is exact, and ``m2 < 2**53`` converts to float
+    exactly.
     """
-    ones_minus_u1 = map((2.0**-p).__mul__, range(1 << p, 0, -1))
-    table = np.fromiter(map(math.log, ones_minus_u1), float, 1 << p)
-    np.multiply(table, -2.0, out=table)
-    np.sqrt(table, out=table)
-    table.flags.writeable = False
-    return table
+    size = 1 << p
+    step = 2.0**-p
+    radii = np.fromiter(map(math.log, map(step.__mul__, range(size, 0, -1))), float, size)
+    np.multiply(radii, -2.0, out=radii)
+    np.sqrt(radii, out=radii)
+    angle = TWO_PI * step
+    cosines = np.fromiter(map(math.cos, map(angle.__mul__, range(size))), float, size)
+    radii.flags.writeable = cosines.flags.writeable = False
+    return radii, cosines
 
 
 def brute_force_single_gaussian(
@@ -477,25 +464,25 @@ def brute_force_single_gaussian(
     analytic edge to absorb boundary rounding).  For each ``u1`` the angle
     is recovered from ``n1 / radius``; both arccos branches are rounded to
     the grid and the ``w``-neighbourhood of each is re-evaluated forward,
-    keeping pairs that reproduce ``n1`` exactly.  The angle cosines and
-    the row radii come from two tables of all ``2**p`` of each (``2**p``
+    keeping pairs that reproduce ``n1`` exactly.  The row radii and the
+    angle cosines come from two tables of all ``2**p`` of each (``2**p``
     doubles apiece: 8 MiB at ``p = 20``), built from exact scaled integers
     by the first search at ``p`` and kept for every later one.  Only a
     search whose arguments all pass the checks below builds them, so at
-    most 20 pairs of tables are ever held, about 32 MiB in all.  A numpy
-    filter takes the radii of a block of rows at a time, then gathers both
-    branch windows of the rows whose radius reaches ``n1`` from the cosine
-    table, one step wider around centres placed by numpy's ``arccos``, and
-    flags the rows where some angle could match; only those rows
-    are scanned exactly, one slice of the table per window.  Beyond the
-    tables, the search holds one block's arrays, about 100 KiB.  On a
-    2-vCPU Xeon host one search with the default window takes about
-    0.65 ms at ``p = 12``, 2.4 ms at ``p = 14`` and 0.16 s at ``p = 20``
-    once the tables are built, and 1.9 ms, 7.2 ms and 0.47 s when it
-    builds them.  Restricted to ``p <= 20`` — the window size grows as
-    ``2**(p - 1/2)`` — and to searches of at most
-    ``MAX_SEARCH_POINTS`` grid points, counted as ``2**p`` rows of
-    ``min(2 * (2w + 1), 2**p)`` angles each.
+    most 20 pairs of tables are ever held, about 32 MiB in all.  The
+    search skips the rows whose radius is below ``|n1|``, which no angle
+    reaches.  A numpy filter takes the rest in blocks of consecutive rows,
+    gathers both branch windows of each from the cosine table, one step
+    wider around centres placed by numpy's ``arccos``, and flags the rows
+    where some angle could match; only those rows are scanned exactly,
+    one slice of the table per window.  Beyond the tables, the search
+    holds one block's arrays, about 100 KiB.  On a 2-vCPU Xeon host one
+    search with the default window takes about 0.5 ms at ``p = 12``,
+    1.9 ms at ``p = 14`` and 0.14 s at ``p = 20`` once the tables are
+    built, and 1.7 ms, 6.5 ms and 0.45 s when it builds them.  Restricted
+    to ``p <= 20`` — the window size grows as ``2**(p - 1/2)`` — and to
+    searches of at most ``MAX_SEARCH_POINTS`` grid points, counted as
+    ``2**p`` rows of ``min(2 * (2w + 1), 2**p)`` angles each.
 
     Raises:
         ValueError: if ``p`` exceeds the tractability bound, ``n1`` is not
@@ -517,62 +504,53 @@ def brute_force_single_gaussian(
     pairs: list[tuple[int, int]] = []
     start = max(0, size - count_feasible_checks(n1, p) - w)
     # every argument is checked: only now may the tables be built and cached
-    table = _cosine_table(p)
-    radius_table = _radius_table(p)
+    radii, cosines = _search_tables(p)
     acos = math.acos
     fsize = float(size)
     # m1 = 0: the zero radius gives ±0.0 at every angle, and no other radius
     # does, because cos never vanishes exactly on the grid
     if start == 0 and n1 == 0.0:
         pairs += [(0, m2) for m2 in range(size)]
-    # The filter.  Each block of _BLOCK_ROWS rows takes its radii from the
-    # radius table and keeps the rows whose radius reaches n1; the kept rows
-    # then gather both branch windows from the cosine table, at most
-    # _BLOCK_POINTS angles at a time, and a row is flagged when some angle
-    # reproduces n1.  Indices below the grid clip to angle 0 and those above
-    # it to the NaN past the last angle, which equals nothing.  The branch
-    # centres come from numpy's arccos, within far less than a grid step of
-    # libm's acos, so they round at most one step from the exact scan's;
-    # gathering w + 1 steps either side still reads every angle of a row's
-    # exact windows, so no pair is missed, and a stray flag costs one exact
-    # scan.  Only IEEE arithmetic, indexing, rounding and those centres run
-    # in numpy; log and the exact scan's acos stay on libm.
+    # |fl(r cos)| <= r, so a row whose radius is below |n1| has no preimage.
+    # The radii rise with m1, so the rows that can reach n1 are those from
+    # `first` on, and each of them has |n1 / r| <= 1.
+    first = max(start, 1, int(np.searchsorted(radii, abs(n1))))
+    # The filter.  Each block of consecutive rows gathers both branch
+    # windows from the cosine table, about _BLOCK_POINTS angles in all, and
+    # a row is flagged when some angle reproduces n1.  Indices off the grid
+    # clip to its first or last angle, which can only add a flag.  The
+    # branch centres come from numpy's arccos, within far less than a grid
+    # step of libm's acos, so they round at most one step from the exact
+    # scan's; gathering w + 1 steps either side still reads every angle of
+    # a row's exact windows, so no pair is missed, and a stray flag costs
+    # one exact scan.  Only IEEE arithmetic, indexing, rounding and those
+    # centres run in numpy; log and the exact scan's acos stay on libm.
     reach = min(w + 1, size)  # a wider window reaches no further angle
     offsets = np.arange(-reach, reach + 1)
-    gather = max(1, _BLOCK_POINTS // (2 * offsets.size))
-    # n1 / r overflows to inf for a huge n1 and a small radius, as Python's
-    # division does, and inf is rejected like any |t| > 1
-    with np.errstate(over="ignore"):
-        for base in range(max(start, 1), size, _BLOCK_ROWS):
-            rs = radius_table[base:base + _BLOCK_ROWS]
-            ts = n1 / rs
-            # |fl(r cos)| <= r, so an n1 beyond the radius has no preimage here
-            kept = (np.abs(ts) <= 1.0).nonzero()[0]
-            for at in range(0, kept.size, gather):
-                rows = kept[at:at + gather]
-                radii = rs[rows]
-                us = np.arccos(ts[rows]) / TWO_PI
-                # arccos is in [0, pi], so c1 <= size/2 <= c2; scaling by fsize = 2**p
-                # is exact, and rint rounds half to even as round does.  The c1
-                # windows of all rows, then their c2 windows.
-                centres = np.rint(np.concatenate((us, 1.0 - us)) * fsize).astype(np.intp)
-                cos = table.take(centres[:, None] + offsets, mode="clip")
-                hit = (radii[:, None] * cos.reshape(2, rows.size, -1) == n1).any(axis=(0, 2))
-                # The exact scan of each flagged row, the one rule that builds
-                # pairs: the window around c1, then the rest of the one around
-                # c2.  A second window that touches or overlaps the first starts
-                # where it ends, so each angle is visited once, in ascending
-                # order.  The zip with the grid's numerators clips both windows
-                # to the grid, before the NaN.
-                for m1, r in zip((rows[hit] + base).tolist(), radii[hit].tolist()):
-                    u = acos(n1 / r) / TWO_PI
-                    c1 = round(u * fsize)
-                    c2 = round((1.0 - u) * fsize)
-                    lo = c1 - w if c1 > w else 0
-                    mid = c1 + w + 1
-                    row = zip(range(lo, size), table[lo:mid].tolist())
-                    pairs += [(m1, m2) for m2, x in row if r * x == n1]
-                    lo = c2 - w if c2 - w > mid else mid
-                    row = zip(range(lo, size), table[lo:c2 + w + 1].tolist())
-                    pairs += [(m1, m2) for m2, x in row if r * x == n1]
+    rows = max(1, _BLOCK_POINTS // (2 * offsets.size))
+    for base in range(first, size, rows):
+        rs = radii[base:base + rows]
+        us = np.arccos(n1 / rs) / TWO_PI
+        # arccos is in [0, pi], so c1 <= size/2 <= c2; scaling by fsize = 2**p
+        # is exact, and rint rounds half to even as round does.  The c1
+        # windows of all rows, then their c2 windows.
+        centres = np.rint(np.concatenate((us, 1.0 - us)) * fsize).astype(np.intp)
+        cos = cosines.take(centres[:, None] + offsets, mode="clip")
+        hit = (rs[:, None] * cos.reshape(2, rs.size, -1) == n1).any(axis=(0, 2))
+        # The exact scan of each flagged row, the one rule that builds pairs:
+        # the window around c1, then the rest of the one around c2.  A second
+        # window that touches or overlaps the first starts where it ends, so
+        # each angle is visited once, in ascending order, and slicing clips
+        # both windows to the grid.
+        for m1, r in zip((hit.nonzero()[0] + base).tolist(), rs[hit].tolist()):
+            u = acos(n1 / r) / TWO_PI
+            c1 = round(u * fsize)
+            c2 = round((1.0 - u) * fsize)
+            lo = c1 - w if c1 > w else 0
+            mid = c1 + w + 1
+            row = enumerate(cosines[lo:mid].tolist(), lo)
+            pairs += [(m1, m2) for m2, x in row if r * x == n1]
+            lo = c2 - w if c2 - w > mid else mid
+            row = enumerate(cosines[lo:c2 + w + 1].tolist(), lo)
+            pairs += [(m1, m2) for m2, x in row if r * x == n1]
     return BruteForceResult(pairs, size - start)

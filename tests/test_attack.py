@@ -5,6 +5,7 @@ is reproducible.  Counting results are cross-checked against plain grid
 enumeration rather than against the closed form under test.
 """
 
+import functools
 import math
 import random
 import sys
@@ -67,6 +68,18 @@ def naive_output(m, p):
     return get_method("naive-laplace").make_drawer(ScriptedSource([m], p), p)()
 
 
+class CountingNoise:
+    """A noise callable that counts its calls, so a test counts an oracle's queries."""
+
+    def __init__(self, noise):
+        self.noise = noise
+        self.calls = 0
+
+    def __call__(self):
+        self.calls += 1
+        return self.noise()
+
+
 def stream_pair(m1, m2, p):
     """Both halves of the Box-Muller stream's evaluation at grid pair ``(m1, m2)``."""
     stream = GaussianStream(ScriptedSource([m1, m2], p), p)
@@ -75,11 +88,13 @@ def stream_pair(m1, m2, p):
 
 class TestQueryOracle:
     def test_counts_calls(self):
-        oracle = QueryOracle(5.0, lambda: 1.5)
-        assert oracle.call_count == 0
+        # each query draws the noise once
+        noise = CountingNoise(lambda: 1.5)
+        oracle = QueryOracle(5.0, noise)
+        assert noise.calls == 0
         assert oracle.query() == 6.5
         assert oracle.query() == 6.5
-        assert oracle.call_count == 2
+        assert noise.calls == 2
 
     def test_stream_defaults_to_none(self):
         assert QueryOracle(0.0, lambda: 0.0).stream is None
@@ -90,12 +105,13 @@ class TestMironovAttack:
         "target,seed", [(1.0, 9001), (-0.375, 9002), (0.125, 9003)]
     )
     def test_recovers_target_from_naive_noise(self, target, seed):
-        oracle = QueryOracle(target, get_method("naive-laplace").make_drawer(BitSource(seed=seed)))
+        noise = CountingNoise(get_method("naive-laplace").make_drawer(BitSource(seed=seed)))
+        oracle = QueryOracle(target, noise)
         cands = [target + d for d in (-1.0, 0.0, 0.6, 2.25)]
         out = mironov_attack(oracle, cands, max_queries=40)
         assert out.status == "identified"
         assert out.value == target
-        assert out.queries_used == 40 == oracle.call_count
+        assert out.queries_used == 40 == noise.calls
 
     def test_scaled_noise(self):
         draw = get_method("naive-laplace").make_drawer(BitSource(seed=9010))
@@ -124,10 +140,10 @@ class TestMironovAttack:
         assert sorted(flat) == [0.0, 1.0, 2.0]
 
     def test_singleton_returns_without_querying(self):
-        oracle = QueryOracle(3.25, lambda: 0.0)
-        out = mironov_attack(oracle, [3.25])
+        noise = CountingNoise(lambda: 0.0)
+        out = mironov_attack(QueryOracle(3.25, noise), [3.25])
         assert (out.status, out.value, out.queries_used) == ("identified", 3.25, 0)
-        assert oracle.call_count == 0
+        assert noise.calls == 0
 
     def test_duplicates_collapse_to_singleton(self):
         oracle = QueryOracle(1.0, lambda: 0.0)
@@ -180,10 +196,10 @@ class TestMironovAttack:
 
     @pytest.mark.parametrize("kwargs", BAD_CAMPAIGN_KWARGS)
     def test_bad_parameters(self, kwargs):
-        oracle = QueryOracle(0.0, lambda: 0.0)
+        noise = CountingNoise(lambda: 0.0)
         with pytest.raises(ValueError):
-            mironov_attack(oracle, **{"candidates": [0.0, 1.0], **kwargs})
-        assert oracle.call_count == 0
+            mironov_attack(QueryOracle(0.0, noise), **{"candidates": [0.0, 1.0], **kwargs})
+        assert noise.calls == 0
 
     def test_int_candidates_come_back_as_floats(self):
         oracle = QueryOracle(1.0, get_method("naive-laplace").make_drawer(BitSource(seed=9060)))
@@ -270,10 +286,11 @@ class TestGaussianPairAttack:
 
     def test_queries_consumed_in_pairs(self):
         stream = GaussianStream(BitSource(seed=9240))
-        oracle = QueryOracle(0.0, stream.next, stream=stream)
+        noise = CountingNoise(stream.next)
+        oracle = QueryOracle(0.0, noise, stream=stream)
         out = gaussian_pair_attack(oracle, [0.0, 5.0], max_queries=7)
         assert out.queries_used % 2 == 0
-        assert oracle.call_count <= 7
+        assert out.queries_used == noise.calls <= 7
 
     def test_budget_below_one_pair(self):
         stream = GaussianStream(BitSource(seed=9250))
@@ -300,10 +317,11 @@ class TestGaussianPairAttack:
     @pytest.mark.parametrize("kwargs", BAD_CAMPAIGN_KWARGS)
     def test_bad_parameters(self, kwargs):
         stream = GaussianStream(BitSource(seed=9280))
-        oracle = QueryOracle(0.0, stream.next, stream=stream)
+        noise = CountingNoise(stream.next)
+        oracle = QueryOracle(0.0, noise, stream=stream)
         with pytest.raises(ValueError):
             gaussian_pair_attack(oracle, **{"candidates": [0.0, 1.0], **kwargs})
-        assert oracle.call_count == 0
+        assert noise.calls == 0
 
     def test_trace_records_query_pairs(self):
         stream = GaussianStream(BitSource(seed=9270))
@@ -314,7 +332,11 @@ class TestGaussianPairAttack:
 
 
 def campaign_oracle(kind, seed, skip=0):
-    """A target-0 oracle over seeded noise for ``kind``'s attack, ``skip`` draws in."""
+    """A target-0 oracle over seeded noise for ``kind``'s attack, ``skip`` draws in.
+
+    Returns the oracle and its noise, a ``CountingNoise`` that counts the
+    draws after the skipped ones.
+    """
     if kind == "mironov":
         stream, noise = None, get_method("naive-laplace").make_drawer(BitSource(seed=seed))
     else:
@@ -322,29 +344,30 @@ def campaign_oracle(kind, seed, skip=0):
         noise = stream.next
     for _ in range(skip):
         noise()
-    return QueryOracle(0.0, noise, stream=stream)
+    noise = CountingNoise(noise)
+    return QueryOracle(0.0, noise, stream=stream), noise
 
 
 class TestBudgetPerCampaign:
     """A campaign's budget and ``queries_used`` count its own queries.
 
-    The oracle's ``call_count`` keeps counting across campaigns, so a second
+    The oracle's noise keeps being drawn across campaigns, so a second
     campaign on one oracle must not read the first one's queries as its own.
     """
 
     @pytest.mark.parametrize("kind", ["mironov", "pair"])
     def test_second_campaign_on_one_oracle(self, kind):
         attack_fn = mironov_attack if kind == "mironov" else gaussian_pair_attack
-        oracle = campaign_oracle(kind, 9500)
+        oracle, noise = campaign_oracle(kind, 9500)
         first = attack_fn(oracle, [0.0, 1.0], max_queries=10)
         second = attack_fn(oracle, [0.0, 1.0], max_queries=10)
         for out in (first, second):
             assert (out.status, out.value, out.queries_used) == ("identified", 0.0, 10)
             assert len(out.trace) == (10 if kind == "mironov" else 5)
             assert out.survival_checks > len(out.trace)
-        assert oracle.call_count == 20
+        assert noise.calls == 20
         # the second campaign is the one a fresh oracle ten draws in would give
-        assert second == attack_fn(campaign_oracle(kind, 9500, skip=10), [0.0, 1.0],
+        assert second == attack_fn(campaign_oracle(kind, 9500, skip=10)[0], [0.0, 1.0],
                                    max_queries=10)
 
 
@@ -818,8 +841,8 @@ class TestBruteForce:
         # 12.0 needs u1 so close to 1 that no p=8 grid point reaches it
         result = brute_force_single_gaussian(12.0, 8)
         assert result.pairs == []
-        # the largest double over the smallest radii overflows n1 / r to inf,
-        # which no row reaches either, and without a warning
+        # nor does the largest double, which lies beyond every radius, so no
+        # row is divided into it and nothing overflows or warns
         assert brute_force_single_gaussian(sys.float_info.max, 13, 10**6).pairs == []
 
     def test_result_type(self):
@@ -903,23 +926,37 @@ class TestBruteForceMatchesReference:
         assert (got.pairs, got.checks) == (want.pairs, want.checks)
 
 
+def first_scanned_row(n1, p, checks):
+    """The first row the search's filter takes, or ``2**p`` when it takes none.
+
+    That is the lowest ``m1 >= 1`` of the ``checks`` rows it walks whose
+    radius reaches ``|n1|``.
+    """
+    size = 1 << p
+    return next((m for m in range(max(1, size - checks), size)
+                 if _bm_radius(math.ldexp(m, -p), math) >= abs(n1)), size)
+
+
+def set_block_rows(monkeypatch, rows, w):
+    """Make a block of the search's filter hold ``rows`` rows at window ``w``.
+
+    A block holds as many rows as ``_BLOCK_POINTS`` angles allow at
+    ``2(2w + 3)`` per row, ``w + 1`` steps either side of both branch
+    centres; for one row this sets one point, less than a row, which still
+    takes a row per block.
+    """
+    points = 1 if rows == 1 else rows * 2 * (2 * w + 3)
+    monkeypatch.setattr(attack, "_BLOCK_POINTS", points)
+
+
 class TestBruteForceBlocks:
     """The block edges of the search's numpy filter, against the reference.
 
-    The filter has two kinds of block.  A row block holds ``_BLOCK_ROWS``
-    rows, whose radii it takes from the radius table.  A gather holds the rows of one row
-    block whose radius reaches ``n1``, up to ``_BLOCK_POINTS`` angles of
-    them, ``2(2w + 3)`` per row: ``w + 1`` steps either side of both
-    branch centres.  Each case sets a row block to ``rows`` rows and a
-    gather to ``gathered`` rows at its window; for one gathered row it sets
-    one point, less than a row, which still takes a row per gather.
+    The filter takes consecutive rows from the first one whose radius
+    reaches ``n1``, in blocks of ``rows`` rows; each case sets that many at
+    its window, and checks that the pairs it finds fall first, last and
+    inside a block, and in a last block the grid's end cuts short.
     """
-
-    @staticmethod
-    def set_blocks(monkeypatch, rows, gathered, w):
-        monkeypatch.setattr(attack, "_BLOCK_ROWS", rows)
-        points = 1 if gathered == 1 else gathered * 2 * (2 * w + 3)
-        monkeypatch.setattr(attack, "_BLOCK_POINTS", points)
 
     @staticmethod
     def edges(k, length, block):
@@ -928,15 +965,10 @@ class TestBruteForceBlocks:
         where = {"first" if at == 0 else "last" if at == block - 1 else "inner"}
         return where | {"short"} if k - at + block > length else where
 
-    # A gather never spans two row blocks, so one wider than its row block
-    # acts as one of the row block's size.  1024 rows put the whole grid in
-    # one row block up to p = 10; with fewer, a row block's end also cuts
-    # its last gather short.
-    @pytest.mark.parametrize("rows,gathered", [
-        (1, 1), (2, 2), (3, 2), (3, 3), (7, 2), (7, 3), (7, 7),
-        (1024, 1), (1024, 2), (1024, 3), (1024, 7)])
-    def test_matches_reference(self, rows, gathered, monkeypatch):
-        row_edges, gather_edges = set(), set()  # where each pair's row fell
+    # 1024 rows put the whole grid in one block up to p = 10.
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 1024])
+    def test_matches_reference(self, rows, monkeypatch):
+        seen = set()  # where each pair's row fell in its block
         for p in range(6, 11):
             size = 1 << p
             rng = random.Random(p)
@@ -944,28 +976,23 @@ class TestBruteForceBlocks:
             last_row = stream_pair(size - 1, rng.randrange(size), p)[0]
             targets = brute_force_targets(p, rng) + [last_row]
             for w in (0, 2):
-                self.set_blocks(monkeypatch, rows, gathered, w)
+                set_block_rows(monkeypatch, rows, w)
                 for n1 in targets:
                     got = brute_force_single_gaussian(n1, p, w)
                     want = reference_brute_force(n1, p, w)
                     assert (got.pairs, got.checks) == (want.pairs, want.checks), (n1, p, w)
-                    first = max(1, size - got.checks)  # the first block's first row
+                    first = first_scanned_row(n1, p, got.checks)
                     for m1 in {m1 for m1, _ in got.pairs if m1 > 0}:
-                        row_edges |= self.edges(m1 - first, size - first, rows)
-                        base = m1 - (m1 - first) % rows
-                        kept = [m for m in range(base, min(base + rows, size))
-                                if abs(n1 / _bm_radius(math.ldexp(m, -p), math)) <= 1.0]
-                        gather_edges |= self.edges(kept.index(m1), len(kept), gathered)
-        for block, seen in ((rows, row_edges), (gathered, gather_edges)):
-            want = {"first"} if block == 1 else {"first", "last", "short"}
-            if block > 2:
-                want.add("inner")
-            if block < 1024:
-                assert want <= seen, (block, seen)
+                        seen |= self.edges(m1 - first, size - first, rows)
+        want = {"first"} if rows == 1 else {"first", "last", "short"}
+        if rows > 2:
+            want.add("inner")
+        if rows < 1024:
+            assert want <= seen, seen
 
     @pytest.mark.parametrize("p", [15, 16])
     def test_planted_at_large_p(self, p, monkeypatch):
-        self.set_blocks(monkeypatch, 7, 3, DEFAULT_WINDOW)
+        set_block_rows(monkeypatch, 7, DEFAULT_WINDOW)
         size = 1 << p
         rng = random.Random(p)
         for m1, m2 in ((rng.randrange(1, size), rng.randrange(size)), (size - 1, 0)):
@@ -974,6 +1001,49 @@ class TestBruteForceBlocks:
             want = reference_brute_force(n1, p, DEFAULT_WINDOW)
             assert (m1, m2) in got.pairs
             assert (got.pairs, got.checks) == (want.pairs, want.checks), (m1, m2)
+
+
+# rows whose radius, of either sign, sits at the edge between the rows the
+# search skips and the rows it scans
+EDGE_ROWS = {6: (1, 37, 63), 10: (1, 601, 1023), 16: (60_000, 65_000, 65_535)}
+
+
+@functools.lru_cache(maxsize=None)
+def edge_reference(n1, p, w):
+    # the reference does not depend on the block size, so each case runs once
+    return reference_brute_force(n1, p, w)
+
+
+class TestBruteForceFirstRow:
+    """The search starts at the first row whose radius reaches ``|n1|``.
+
+    Each target is a row's radius, or the next double either side of it,
+    with either sign: the search then starts at that row, or at the one
+    after it for the double above.  The row holds the pair ``(m1, 0)`` for
+    ``n1 = r`` and ``(m1, 2**(p - 1))`` for ``n1 = -r``.
+    """
+
+    @pytest.mark.parametrize("rows", [None, 1, 2, 3, 7])
+    @pytest.mark.parametrize("p", sorted(EDGE_ROWS))
+    def test_matches_reference(self, p, rows, monkeypatch):
+        radii = attack._search_tables(p)[0]
+        for m1 in EDGE_ROWS[p]:
+            r = _bm_radius(math.ldexp(m1, -p), math)
+            for x, lands in ((math.nextafter(r, 0.0), m1), (r, m1),
+                             (math.nextafter(r, math.inf), m1 + 1)):
+                assert max(1, int(np.searchsorted(radii, x))) == lands, (m1, x)
+                for n1 in (x, -x):
+                    for w in (0, 2, 5):
+                        if rows is not None:
+                            set_block_rows(monkeypatch, rows, w)
+                        got = brute_force_single_gaussian(n1, p, w)
+                        want = edge_reference(n1, p, w)
+                        assert (got.pairs, got.checks) == (want.pairs, want.checks), (n1, p, w)
+                        at_row = {b for a, b in got.pairs if a == m1}
+                        if lands > m1:
+                            assert not at_row
+                        elif x == r and got.checks >= (1 << p) - m1:
+                            assert (0 if n1 > 0 else 1 << (p - 1)) in at_row
 
 
 class TestBruteForceMemory:
@@ -992,11 +1062,10 @@ class TestBruteForceMemory:
         return peak
 
     def test_bounded_by_the_block(self):
-        # Beyond its tables of 2**p cosines and 2**p radii (512 KiB each at
+        # Beyond its tables of 2**p radii and 2**p cosines (512 KiB each at
         # p = 16), a search that builds them holds one block's arrays, about
         # 100 KiB at any p, and no other per-row array.
-        attack._cosine_table.cache_clear()
-        attack._radius_table.cache_clear()
+        attack._search_tables.cache_clear()
         assert self.search_peak() < 2 * 8 * (1 << self.P) + 256 * 1024
 
     def test_second_search_builds_no_table(self):
@@ -1006,16 +1075,10 @@ class TestBruteForceMemory:
 
 
 class TestSearchTables:
-    """The search's cosine and radius tables, built once per precision and never written."""
-
-    TABLES = (attack._cosine_table, attack._radius_table)
-
-    def clear(self):
-        for table in self.TABLES:
-            table.cache_clear()
+    """The search's radius and cosine tables, built once per precision and never written."""
 
     def test_alternating_precisions_match_reference(self):
-        self.clear()
+        attack._search_tables.cache_clear()
         rng = random.Random(1214)
         for p in (12, 14, 12, 14):
             size = 1 << p
@@ -1025,31 +1088,28 @@ class TestSearchTables:
             want = reference_brute_force(n1, p, DEFAULT_WINDOW)
             assert (m1, m2) in got.pairs
             assert (got.pairs, got.checks) == (want.pairs, want.checks), p
-        assert [table.cache_info().misses for table in self.TABLES] == [2, 2]
+        assert attack._search_tables.cache_info().misses == 2
 
     def test_rejected_search_builds_no_table(self):
-        self.clear()
+        attack._search_tables.cache_clear()
         for n1, p, w in ((1.0, BRUTE_FORCE_MAX_PRECISION + 1, DEFAULT_WINDOW),
                          (1.0, 14, 1024), (1.0, 8, -1), (math.nan, 8, DEFAULT_WINDOW),
                          (math.inf, 8, DEFAULT_WINDOW), (-math.inf, 8, DEFAULT_WINDOW)):
             with pytest.raises(ValueError):
                 brute_force_single_gaussian(n1, p, w)
-        for table in self.TABLES:
-            info = table.cache_info()
-            assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        info = attack._search_tables.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
     def test_search_leaves_the_tables_unchanged(self):
         p = 12
-        tables = [make(p) for make in self.TABLES]
+        tables = attack._search_tables(p)
         before = [table.tobytes() for table in tables]
         assert (2500, 600) in brute_force_single_gaussian(stream_pair(2500, 600, p)[0], p).pairs
-        for make, table, bits in zip(self.TABLES, tables, before):
-            assert make(p) is table
+        assert attack._search_tables(p) is tables
+        for table, bits in zip(tables, before):
             assert table.tobytes() == bits
             assert not table.flags.writeable
-        cosines, radii = tables
-        assert cosines.size == (1 << p) + 1 and math.isnan(cosines[-1])
-        assert radii.size == 1 << p
+            assert table.size == 1 << p
 
     @pytest.mark.parametrize("p", range(1, BRUTE_FORCE_MAX_PRECISION + 1))
     def test_radii_are_the_forward_maps(self, p):
@@ -1059,9 +1119,35 @@ class TestSearchTables:
         size = 1 << p
         ms = (range(1, size) if p <= 14
               else [1, size >> 1, size - 1, *random.Random(p).sample(range(1, size), 2000)])
-        radii = attack._radius_table(p)
+        radii = attack._search_tables(p)[0]
         assert radii[list(ms)].tolist() == [_bm_radius(math.ldexp(m, -p), math) for m in ms]
-        assert not radii.flags.writeable
+
+    @pytest.mark.parametrize("p", [1, 2, 8, 14, BRUTE_FORCE_MAX_PRECISION])
+    def test_cosines_are_the_forward_maps(self, p):
+        size = 1 << p
+        ms = (range(size) if p <= 14
+              else [0, size >> 2, size >> 1, size - 1, *random.Random(p).sample(range(size), 2000)])
+        cosines = attack._search_tables(p)[1]
+        assert cosines[list(ms)].tolist() == [math.cos(TWO_PI * math.ldexp(m, -p)) for m in ms]
+
+    def test_radii_rise_with_the_row(self):
+        # The search's np.searchsorted needs every radius table non-decreasing
+        # over rows m1 >= 1; a libm whose log breaks that fails here.  Row m
+        # at p takes the log of the same double as row m * 2**(20 - p) at
+        # p = 20, so the p = 20 table holds every smaller one bit for bit.
+        top = BRUTE_FORCE_MAX_PRECISION
+        radii = attack._search_tables(top)[0]
+        assert (np.diff(radii[1:]) >= 0.0).all()
+        for p in range(1, top):
+            assert attack._search_tables(p)[0].tobytes() == radii[::1 << (top - p)].tobytes(), p
+
+
+def plant_cosine(monkeypatch, p, m2, x):
+    """Make every later search at ``p`` read ``x`` as the cosine of angle ``m2``."""
+    radii, cosines = attack._search_tables(p)
+    cosines = cosines.copy()
+    cosines[m2] = x
+    monkeypatch.setattr(attack, "_search_tables", lambda _: (radii, cosines))
 
 
 class TestBruteForceAngleWindow:
@@ -1089,9 +1175,7 @@ class TestBruteForceAngleWindow:
         m2 = centres[branch] + offset
         plain = brute_force_single_gaussian(n1, p, w).pairs
         assert all(b != m2 for _, b in plain)
-        table = attack._cosine_table(p).copy()
-        table[m2] = x
-        monkeypatch.setattr(attack, "_cosine_table", lambda _: table)
+        plant_cosine(monkeypatch, p, m2, x)
         got = brute_force_single_gaussian(n1, p, w).pairs
         assert got == (sorted(plain + [(m1, m2)]) if abs(offset) <= w else plain)
 
@@ -1109,9 +1193,7 @@ class TestBruteForceAngleWindow:
         n1 = _bm_radius(math.ldexp(m1, -p), math) * x
         m2 = branch_centres(n1, p, m1)[branch] + offset
         plain = brute_force_single_gaussian(n1, p, w).pairs
-        table = attack._cosine_table(p).copy()
-        table[m2] = x
-        monkeypatch.setattr(attack, "_cosine_table", lambda _: table)
+        plant_cosine(monkeypatch, p, m2, x)
         arccos = np.arccos
         moved = shift * 0.999 * TWO_PI * math.ldexp(1.0, -p)
         monkeypatch.setattr(attack.np, "arccos", lambda t: arccos(t) + moved)
@@ -1269,12 +1351,13 @@ class TestDefaults:
     def test_window_cap(self, attack, arity, largest):
         # a survival check evaluates (2w+1)**arity grid points
         assert (2 * largest + 1) ** arity <= MAX_CHECK_EVALUATIONS < (2 * largest + 3) ** arity
-        oracle = QueryOracle(0.0, lambda: 0.0)
+        noise = CountingNoise(lambda: 0.0)
+        oracle = QueryOracle(0.0, noise)
         out = attack(oracle, [0.0, 1.0], w=largest, max_queries=0)
         assert out.status == "budget_exhausted"
         with pytest.raises(ValueError, match="too large"):
             attack(oracle, [0.0, 1.0], w=largest + 1, max_queries=0)
-        assert oracle.call_count == 0
+        assert noise.calls == 0
 
     def test_outcome_dataclass_defaults(self):
         out = AttackOutcome("identified", 1.0, 3)
