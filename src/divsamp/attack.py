@@ -41,17 +41,19 @@ BRUTE_FORCE_MAX_PRECISION = 20
 MAX_CHECK_EVALUATIONS = 2**16
 # A brute-force search scans up to min(2(2w+1), 2**p) angles in each of
 # its 2**p rows.  It admits p = 20 with the default window (about 1.05e7
-# points: about 0.45 s, or 43 ns a point, when it builds its radius and
-# cosine tables, and 0.14 s, 13 ns a point, with the tables built, on a
-# 2-vCPU Xeon host) and any window at p <= 13 (2**26 points in about
-# 0.2 s, 3 ns a point).  A wider window costs in proportion, up to 2**40
+# points: about 0.4 s, or 38 ns a point, when it builds its radius and
+# cosine tables, and 65 ms, 6 ns a point, with the tables built, on a
+# 2-vCPU Xeon host) and any window at p <= 13 (2**26 points in up to
+# about 0.5 s, 8 ns a point).  A wider window costs in proportion, up to 2**40
 # points for a full-grid window at p = 20, so a search past the cap is
 # rejected before either table is built.
 MAX_SEARCH_POINTS = 2**26
 # Grid angles one block of the search's numpy filter gathers from the
 # cosine table: w + 1 either side of both branch centres of each of its
 # rows, so 182 rows at the default window and one row for a full-grid
-# window.  A block's arrays take about 100 KiB beyond the tables.
+# window.  A block's arrays take about 100 KiB beyond the tables.  Almost
+# no block holds a match, so a block costs mostly its gather, its
+# products and one count of the matches.
 _BLOCK_POINTS = 2560
 
 __all__ = [
@@ -473,13 +475,15 @@ def brute_force_single_gaussian(
     search skips the rows whose radius is below ``|n1|``, which no angle
     reaches.  A numpy filter takes the rest in blocks of consecutive rows,
     gathers both branch windows of each from the cosine table, one step
-    wider around centres placed by numpy's ``arccos``, and flags the rows
-    where some angle could match; only those rows are scanned exactly,
-    one slice of the table per window.  Beyond the tables, the search
-    holds one block's arrays, about 100 KiB.  On a 2-vCPU Xeon host one
-    search with the default window takes about 0.5 ms at ``p = 12``,
-    1.9 ms at ``p = 14`` and 0.14 s at ``p = 20`` once the tables are
-    built, and 1.7 ms, 6.5 ms and 0.45 s when it builds them.  Restricted
+    wider around centres placed by numpy's ``arccos``, and counts the
+    angles that match.  A block with none is done; in the rare block with
+    some, each match maps back to its row, and only those rows are
+    scanned exactly, one slice of the table per window.  Beyond the
+    tables, the search holds one block's arrays, about 100 KiB.  On a
+    2-vCPU Xeon host one search with the default window takes about
+    0.3 ms at ``p = 12``, 1.2 ms at ``p = 14`` and 65 ms at ``p = 20``
+    once the tables are built, and 1.6 ms, 5.8 ms and 0.4 s when it
+    builds them.  Restricted
     to ``p <= 20`` — the window size grows as ``2**(p - 1/2)`` — and to
     searches of at most ``MAX_SEARCH_POINTS`` grid points, counted as
     ``2**p`` rows of ``min(2 * (2w + 1), 2**p)`` angles each.
@@ -527,7 +531,8 @@ def brute_force_single_gaussian(
     # centres run in numpy; log and the exact scan's acos stay on libm.
     reach = min(w + 1, size)  # a wider window reaches no further angle
     offsets = np.arange(-reach, reach + 1)
-    rows = max(1, _BLOCK_POINTS // (2 * offsets.size))
+    width = offsets.size
+    rows = max(1, _BLOCK_POINTS // (2 * width))
     for base in range(first, size, rows):
         rs = radii[base:base + rows]
         us = np.arccos(n1 / rs) / TWO_PI
@@ -536,13 +541,20 @@ def brute_force_single_gaussian(
         # windows of all rows, then their c2 windows.
         centres = np.rint(np.concatenate((us, 1.0 - us)) * fsize).astype(np.intp)
         cos = cosines.take(centres[:, None] + offsets, mode="clip")
-        hit = (rs[:, None] * cos.reshape(2, rs.size, -1) == n1).any(axis=(0, 2))
+        eq = rs[:, None] * cos.reshape(2, rs.size, -1) == n1
+        # Almost no block matches, and one count costs far less than a reduce
+        # over two of eq's axes.  eq is (branch, row, offset), so the match
+        # at flat index i is in row i // width % rs.size; the set drops a
+        # row's repeats, and sorting keeps the rows in ascending order.
+        if not np.count_nonzero(eq):
+            continue
+        hit = sorted({i // width % rs.size for i in np.flatnonzero(eq).tolist()})
         # The exact scan of each flagged row, the one rule that builds pairs:
         # the window around c1, then the rest of the one around c2.  A second
         # window that touches or overlaps the first starts where it ends, so
         # each angle is visited once, in ascending order, and slicing clips
         # both windows to the grid.
-        for m1, r in zip((hit.nonzero()[0] + base).tolist(), rs[hit].tolist()):
+        for m1, r in zip([base + i for i in hit], rs[hit].tolist()):
             u = acos(n1 / r) / TWO_PI
             c1 = round(u * fsize)
             c2 = round((1.0 - u) * fsize)

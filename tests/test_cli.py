@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import divsamp
 import divsamp.cli
-from divsamp.attack import DEFAULT_WINDOW, count_feasible_checks
+from divsamp.attack import DEFAULT_WINDOW, BruteForceResult, count_feasible_checks
 from divsamp.cli import EXIT_FAIL, EXIT_OK, _Rounds, _build_parsers, _json, _parse, main
 from divsamp.dist import gaussian_cdf, laplace_cdf
 from divsamp.sampler import GaussianStream, get_method, method_names
@@ -454,8 +454,10 @@ class TestComplexity:
 
     # p = 20 is the largest precision the brute-force search allows
     @pytest.mark.parametrize("p,count,cost", [
-        (10, 20, {"checks": 12589, "pairs_found": 24, "uniforms_drawn": 40, "bits_drawn": 400}),
-        (20, 1, {"checks": 367036, "pairs_found": 1, "uniforms_drawn": 2, "bits_drawn": 40}),
+        (10, 20, {"checks": 12589, "pairs_found": 24, "uniforms_drawn": 40, "bits_drawn": 400,
+                  "recovered": 20, "max_preimages": 2}),
+        (20, 1, {"checks": 367036, "pairs_found": 1, "uniforms_drawn": 2, "bits_drawn": 40,
+                 "recovered": 1, "max_preimages": 1}),
     ], ids=["p10", "p20"])
     def test_reports_window_and_cost(self, p, count, cost, capsys):
         code, out, _ = run_cli(
@@ -469,7 +471,8 @@ class TestComplexity:
         ]
         assert payload["window"] == 2
         # one search per draw; each draw takes two p-bit uniforms for one
-        # Box-Muller pair, whose sine half is discarded
+        # Box-Muller pair, whose sine half is discarded, and every search
+        # finds the pair its output was drawn from
         assert payload["cost"] == cost
         assert payload["empirical_mean_checks"] == cost["checks"] / count
 
@@ -495,10 +498,10 @@ class TestComplexity:
         (21, "1482910.4003789306"), (53, "6369051672525773.0"),
     ], ids=["p21", "p53"])
     def test_model_only_above_search_cap(self, p, theoretical, capsys, monkeypatch):
-        def no_stream(*args):
-            raise AssertionError("no GaussianStream above the search cap")
+        def no_draw(*args):
+            raise AssertionError("no draw above the search cap")
 
-        monkeypatch.setattr(divsamp.cli, "GaussianStream", no_stream)
+        monkeypatch.setattr(divsamp.cli, "_take_numerator", no_draw)
         code, out, _ = run_cli(["complexity", "--p", str(p)], capsys)
         assert code == EXIT_OK
         assert list(json.loads(out)) == [
@@ -516,6 +519,66 @@ class TestComplexity:
             " empirical_mean_checks= ratio=\n"
             f"quantity,value\ntheoretical_checks,{theoretical}\n"
         )
+
+    # a search is handed GaussianStream's cosine half, drawn from the same
+    # source in the same order, whatever that output is
+    @pytest.mark.parametrize("p", [8, 12, 16, 20], ids=["p8", "p12", "p16", "p20"])
+    def test_draws_are_the_stream_s(self, p, capsys, monkeypatch):
+        seen = []
+
+        def record(n1, p):
+            seen.append(n1)
+            return BruteForceResult([], 0)
+
+        monkeypatch.setattr(divsamp.attack, "brute_force_single_gaussian", record)
+        count = 1000
+        code, out, _ = run_cli(
+            ["complexity", "--p", str(p), "--count", str(count), "--seed", str(p)], capsys
+        )
+        stream = GaussianStream(BitSource(p), p)
+        want = []
+        for _ in range(count):
+            want.append(stream.next())
+            stream.next()
+        assert list(map(float.hex, seen)) == list(map(float.hex, want))
+        cost = json.loads(out)["cost"]
+        assert cost["uniforms_drawn"] == 2 * count
+        # the stub recovers nothing, so the check fails
+        assert (code, cost["recovered"], cost["max_preimages"]) == (EXIT_FAIL, 0, 0)
+
+    # the search drops the drawn pair, or returns a wrong pair in its place,
+    # so that a nonempty result alone does not count as a recovery
+    @pytest.mark.parametrize("swap", [False, True], ids=["dropped", "swapped"])
+    def test_missed_pair_fails_the_run(self, swap, capsys, monkeypatch, tmp_path):
+        p, count, seed, missed = 10, 20, 0, 3
+        src = BitSource(seed)
+        drawn = [(src.getrandbits(p), src.getrandbits(p)) for _ in range(count)]
+        m1, m2 = drawn[missed]
+        search = divsamp.attack.brute_force_single_gaussian
+        calls = []
+
+        def miss_one(n1, p):
+            result = search(n1, p)
+            if len(calls) == missed:
+                result.pairs.remove((m1, m2))
+                if swap:
+                    result.pairs.append((m1, (m2 + 1) % 2**p))
+            calls.append(n1)
+            return result
+
+        argv = ["complexity", "--p", str(p), "--count", str(count), "--seed", str(seed)]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == EXIT_OK
+        full = json.loads(out)["cost"]
+        assert full["recovered"] == count
+        monkeypatch.setattr(divsamp.attack, "brute_force_single_gaussian", miss_one)
+        report = tmp_path / "report.json"
+        code, out, _ = run_cli([*argv, "--out", str(report)], capsys)
+        assert (code, out, len(calls)) == (EXIT_FAIL, "", count)
+        # the report is still written, and names the miss
+        cost = json.loads(report.read_text())["cost"]
+        found = full["pairs_found"] - (not swap)
+        assert cost == {**full, "pairs_found": found, "recovered": count - 1}
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
@@ -589,13 +652,13 @@ class TestOneErrorPath:
 
     def test_rejected_before_the_first_draw(self, capsys, monkeypatch):
         calls = []
+        take = divsamp.cli._take_numerator
 
-        class Counted(GaussianStream):
-            def next(self):
-                calls.append(1)
-                return super().next()
+        def counted(src, p):
+            calls.append(1)
+            return take(src, p)
 
-        monkeypatch.setattr(divsamp.cli, "GaussianStream", Counted)
+        monkeypatch.setattr(divsamp.cli, "_take_numerator", counted)
         for argv in (["--p", "54", "--count", "3"], ["--p", "14", "--count", "0"]):
             code, out, _ = run_cli(["complexity", *argv], capsys)
             assert (code, out, calls) == (2, "", [])
